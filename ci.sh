@@ -19,6 +19,16 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# Debug profile on purpose: lss-interp's popping_last_scope_panics relies
+# on a debug_assert that --release compiles out.
+echo "==> workspace: cargo test --workspace -q"
+cargo test --workspace -q
+
+echo "==> flake hunt: cache_faults 20 times in a row"
+for _ in $(seq 20); do
+  cargo test -q -p lss-driver --test cache_faults
+done
+
 echo "==> analyzer: lssc check over examples and Table 3 models (deny LSS1xx)"
 mkdir -p target/analysis
 for m in A B C D E F; do
@@ -96,14 +106,15 @@ rm -rf target/verify
 ./target/release/lssc fuzz --seed 2 --iters 200 --types-only
 ./target/release/lssc fuzz --seed 3 --iters 200 --sim-only
 
-echo "==> kernels: compiled-engine equivalence suite (interp vs compiled vs refsim)"
+echo "==> kernels: equivalence suite (static vs dynamic vs refsim)"
 cargo test -q --test kernel_equivalence
 cargo test -q --test golden_batch
 
-echo "==> kernels: compiled fuzz smoke + injected-bug canaries (fixed seed)"
-# The sim-only loop above already cross-checks the compiled engine inside
-# every difftest; this stage additionally proves the harness *would* catch
-# a kernel bug: both injected mutations must produce findings (exit 1).
+echo "==> kernels: fuzz smoke + injected-bug canaries (fixed seed)"
+# The sim-only loop above already cross-checks the static scheduler's
+# kernels against the dynamic one inside every difftest; this stage
+# additionally proves the harness *would* catch a kernel bug: both
+# injected mutations must produce findings (exit 1).
 ./target/release/lssc fuzz --seed 4 --iters 200 --sim-only
 if ./target/release/lssc fuzz --seed 4 --iters 20 --sim-only --mutate stale-commit \
     --out target/verify-kernel-canary >/dev/null 2>&1; then
@@ -126,9 +137,7 @@ if [ -d target/verify ] && [ -n "$(ls -A target/verify)" ]; then
   exit 1
 fi
 
-echo "==> robustness: cache fault injection + exit-code contract + invalid corpus"
-cargo test -q -p lss-driver --test cache_faults
-cargo test -q -p liberty --test cli
+echo "==> robustness: invalid corpus (cache faults and the CLI exit-code contract run in the workspace stage)"
 cargo test -q --test corpus_invalid_replay
 
 echo "==> robustness: budget-exhaustion smoke (self-instantiation must exit 3 within 5s)"

@@ -60,13 +60,14 @@
 //!                      not for real verification: `reversed` and
 //!                      `single-pass` break the reference scheduler;
 //!                      `stale-commit` and `skip-barrier` break the
-//!                      compiled kernel engine's stage commits
+//!                      static scheduler's kernel stage commits
 //!
 //! `fuzz` generates random well-formed programs, checks the heuristic type
-//! solver against exhaustive disjunct enumeration and the static-schedule
-//! engine against a naive fixpoint reference (plus the compiled kernel
-//! engine as a third cross-checked simulator), minimizes any discrepancy
-//! with delta debugging, writes the repro under --out, and exits 1.
+//! solver against exhaustive disjunct enumeration and the static scheduler
+//! against a naive fixpoint reference (plus the kernel-free dynamic
+//! scheduler as a third cross-checked simulator), minimizes any
+//! discrepancy with delta debugging, writes the repro under --out, and
+//! exits 1.
 //!
 //! difftest options:
 //!   --cycles N         cycles to run the simulators (default 16)
@@ -74,7 +75,7 @@
 //!
 //! `difftest` replays .lss files (e.g. the checked-in corpus under
 //! tests/corpus/) through the same compile + simulate + compare pipeline —
-//! interpreter vs compiled kernel engine vs naive reference — and exits 1
+//! static scheduler vs dynamic scheduler vs naive reference — and exits 1
 //! on the first discrepancy.
 //!
 //! Options:
@@ -83,14 +84,11 @@
 //!   --model A..F       compile one of the built-in Table 3 models instead of files
 //!   --run N            simulate N cycles after compiling
 //!   --run-model        run a built-in model to completion and report CPI
-//!   --scheduler S      static (default) or dynamic
-//!   --engine E         interp (default) or compiled: the compiled engine
+//!   --scheduler S      static (default) or dynamic: the static scheduler
 //!                      lowers hot corelib behaviors to per-SCC kernels
 //!                      over the flat state arena and executes independent
-//!                      condensation stages with barrier-committed writes
-//!   --threads N        worker threads for the compiled engine's stage
-//!                      execution (default 1; traces are byte-identical
-//!                      for every value)
+//!                      condensation stages with barrier-committed writes;
+//!                      dynamic is the SystemC-style worklist baseline
 //!   --batch N          with --run: simulate N lanes of the same netlist
 //!                      in lockstep, seeded 0..N-1, and print per-lane
 //!                      summaries (lane k is byte-identical to a solo
@@ -137,19 +135,27 @@ use liberty::{AnalysisConfig, Driver, DriverError, Lse, Scheduler, StageTimings}
 use lss_analyze::{to_jsonl, to_sarif_located, to_text_located, Code};
 use lss_netlist::{dump, reuse_stats};
 
-/// Renders the engine counters and the static-schedule shape after a run.
-fn print_sim_stats(stats: &liberty::sim::SimStats, schedule: Option<&liberty::sim::Schedule>) {
+/// Renders the engine counters after a run, plus the static-schedule shape
+/// and kernel coverage when the simulator is at hand.
+fn print_sim_stats(stats: &liberty::SimStats, sim: Option<&liberty::Simulator>) {
     println!("sim stats:");
     println!("  cycles             {}", stats.cycles);
     println!("  comp_evals         {}", stats.comp_evals);
     println!("  events_dispatched  {}", stats.events_dispatched);
     println!("  port_firings       {}", stats.port_firings);
-    if let Some(schedule) = schedule {
+    if let Some(sim) = sim {
+        let schedule = sim.static_schedule();
         println!(
             "schedule: {} components in {} topo levels, {} combinational cycle blocks",
             schedule.len(),
             schedule.steps.len(),
             schedule.cycle_blocks()
+        );
+        let (kernels, leaves) = (sim.kernel_count(), sim.component_count());
+        println!(
+            "kernels: {kernels} of {leaves} leaves lowered, {} dyn; stages: {}",
+            leaves - kernels,
+            sim.stage_count()
         );
     }
 }
@@ -336,8 +342,6 @@ struct Options {
     run: Option<u64>,
     run_model: bool,
     scheduler: Scheduler,
-    engine: liberty::Engine,
-    threads: usize,
     /// `--batch N`: lockstep lanes seeded `0..N-1` (requires `--run`).
     batch: Option<usize>,
     emit_lss: bool,
@@ -371,8 +375,8 @@ enum EmitKind {
 fn usage() -> ! {
     eprintln!(
         "usage: lssc [--lib FILE]... [--no-corelib] [--model A-F] [--run N] [--run-model]\n\
-         \x20           [--scheduler static|dynamic] [--engine interp|compiled]\n\
-         \x20           [--threads N] [--batch N] [--dump-tree] [--dump-dot] [--stats]\n\
+         \x20           [--scheduler static|dynamic] [--batch N] [--dump-tree]\n\
+         \x20           [--dump-dot] [--stats] [--watch PREFIX]... [--vcd FILE] [--wave]\n\
          \x20           [--emit netlist-bin|netlist-json] [--output FILE]\n\
          \x20           [--timings] [--no-cache] [--cache-dir DIR]\n\
          \x20           [--naive-inference] [BUDGET-FLAGS] TARGET...\n\
@@ -1088,7 +1092,6 @@ fn run_difftest(args: impl Iterator<Item = String>) -> ExitCode {
         cycles: opts.cycles,
         mutation: opts.mutation,
         kernel_mutation: opts.kernel_mutation,
-        ..lss_verify::DiffOptions::default()
     };
     let mut failed = 0usize;
     for file in &opts.files {
@@ -1320,8 +1323,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         run: None,
         run_model: false,
         scheduler: Scheduler::Static,
-        engine: liberty::Engine::Interp,
-        threads: 1,
         batch: None,
         emit_lss: false,
         dump_tree: false,
@@ -1359,18 +1360,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--scheduler" => match args.next().as_deref() {
                 Some("static") => opts.scheduler = Scheduler::Static,
                 Some("dynamic") => opts.scheduler = Scheduler::Dynamic,
-                _ => usage(),
-            },
-            "--engine" => match args.next().as_deref() {
-                Some("interp") => opts.engine = liberty::Engine::Interp,
-                Some("compiled") => opts.engine = liberty::Engine::Compiled,
-                _ => {
-                    eprintln!("--engine needs `interp` or `compiled`");
-                    usage();
-                }
-            },
-            "--threads" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n >= 1 => opts.threads = n,
                 _ => usage(),
             },
             "--batch" => match args.next().and_then(|n| n.parse().ok()) {
@@ -1593,8 +1582,6 @@ fn real_main() -> ExitCode {
     }
     opts.budget.apply(&mut lse);
     lse.sim_options.scheduler = opts.scheduler;
-    lse.sim_options.engine = opts.engine;
-    lse.sim_options.threads = opts.threads;
 
     let timings_name = if let Some(id) = opts.model {
         let Some(model) = lss_models::model(id) else {
@@ -1801,7 +1788,7 @@ fn real_main() -> ExitCode {
             stats.cycles, stats.comp_evals, stats.port_firings
         );
         if opts.stats {
-            print_sim_stats(&stats, Some(sim.static_schedule()));
+            print_sim_stats(&stats, Some(&sim));
         }
         for (path, event, table) in sim.collector_reports() {
             let kv: Vec<String> = table.iter().map(|(k, v)| format!("{k}={v}")).collect();

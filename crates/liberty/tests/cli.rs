@@ -82,6 +82,11 @@ fn run_with_stats_prints_engine_and_schedule_summary() {
         stdout.contains("0 combinational cycle blocks"),
         "unexpected cycles:\n{stdout}"
     );
+    // Kernel coverage: the static scheduler lowers both corelib leaves.
+    assert!(
+        stdout.contains("kernels: 2 of 2 leaves lowered, 0 dyn; stages: "),
+        "missing kernel coverage:\n{stdout}"
+    );
     let _ = std::fs::remove_file(&model);
 }
 

@@ -20,10 +20,6 @@
 //!   deferred cross-file connections for the linker;
 //! * `p{key:016x}.bin` — solved type-inference partitions ([`DiskMemo`]).
 //!
-//! Legacy format-1 entries (`{key:016x}.json`, netlist JSON format 3) are
-//! detected by [`load`], reported as an error so the driver warns and
-//! rebuilds, and removed when the binary replacement is stored.
-//!
 //! Integrity: the envelope stores a hash of the raw netlist bytes; on
 //! load the stored bytes are re-hashed and compared before the netlist is
 //! decoded. Any mismatch — truncation, bit rot, a format change, a stale
@@ -151,13 +147,6 @@ pub struct CachedUnit {
 /// The on-disk location of the whole-build entry for `key`.
 pub fn entry_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{key:016x}.bin"))
-}
-
-/// Where a format-1 (JSON) entry for `key` would live. Kept only so the
-/// driver can detect, warn about, and clean up entries written by older
-/// builds.
-pub fn legacy_entry_path(dir: &Path, key: u64) -> PathBuf {
-    dir.join(format!("{key:016x}.json"))
 }
 
 /// The on-disk location of the per-module unit entry for `key`.
@@ -335,7 +324,7 @@ fn read_solve_stats(r: &mut Reader<'_>) -> Result<SolveStats, String> {
 ///
 /// Returns `Ok(None)` for a clean miss (no file). Every other failure —
 /// unreadable file, decode error, version or key mismatch, netlist hash
-/// mismatch, a leftover format-1 JSON entry — is an `Err` describing the
+/// mismatch — is an `Err` describing the
 /// problem; the caller must rebuild from sources. Entries whose *bytes*
 /// are demonstrably corrupt (decode or integrity failure, as opposed to
 /// an I/O error where the file may be fine) are removed before the error
@@ -344,18 +333,6 @@ fn read_solve_stats(r: &mut Reader<'_>) -> Result<SolveStats, String> {
 pub fn load(dir: &Path, key: u64) -> Result<Option<CachedBuild>, String> {
     let path = entry_path(dir, key);
     let Some(bytes) = read_entry(&path)? else {
-        // No binary entry: an old `.json` sibling means a pre-format-4
-        // build cached this key. It cannot be replayed (format 1 stored
-        // netlist JSON format 3); surface it so the driver warns,
-        // rebuilds, and replaces it with a binary entry.
-        let legacy = legacy_entry_path(dir, key);
-        if legacy.exists() {
-            return Err(format!(
-                "legacy format-1 JSON cache entry {} (netlist JSON format 3) \
-                 predates the binary cache",
-                legacy.display()
-            ));
-        }
         return Ok(None);
     };
     let decode = || -> Result<CachedBuild, String> {
@@ -387,8 +364,7 @@ pub fn load(dir: &Path, key: u64) -> Result<Option<CachedBuild>, String> {
 }
 
 /// Writes the whole-build entry for `key` atomically with exactly-once
-/// publish semantics and removes any leftover format-1 JSON entry for
-/// the same key. Returns whether *this* caller published the entry
+/// publish semantics. Returns whether *this* caller published the entry
 /// (`false` means a concurrent writer already did — also success).
 pub fn store(
     dir: &Path,
@@ -418,9 +394,7 @@ pub fn store(
     } else {
         &out
     };
-    let published = publish_once(dir, &entry_path(dir, key), bytes)?;
-    let _ = std::fs::remove_file(legacy_entry_path(dir, key));
-    Ok(published)
+    publish_once(dir, &entry_path(dir, key), bytes)
 }
 
 fn write_deferred_endpoint(w: &mut Writer, e: &DeferredEndpoint) {
@@ -725,26 +699,6 @@ mod tests {
         // Copy the entry for key 5 into the slot for key 6.
         std::fs::copy(entry_path(&dir, 5), entry_path(&dir, 6)).unwrap();
         assert!(load(&dir, 6).is_err(), "foreign key must be rejected");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_json_entries_are_detected_and_replaced() {
-        let dir = temp_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            legacy_entry_path(&dir, 7),
-            "{\"lss_cache\": 1, \"key\": \"0000000000000007\"}",
-        )
-        .unwrap();
-        let err = load(&dir, 7).unwrap_err();
-        assert!(err.contains("legacy format-1"), "{err}");
-        assert!(err.contains("format 3"), "{err}");
-        // Storing the rebuilt entry removes the stale JSON file, so the
-        // next probe is a clean hit.
-        store(&dir, 7, &Netlist::new(), &SolveStats::default(), &[]).expect("store");
-        assert!(!legacy_entry_path(&dir, 7).exists());
-        assert!(load(&dir, 7).expect("hit").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

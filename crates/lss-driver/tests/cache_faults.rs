@@ -4,7 +4,9 @@
 //!
 //! Faults are injected through the `LSS_CACHE_FAULT` environment variable
 //! (see `lss_driver::cache`). The variable is process-global, so these
-//! tests live in their own integration binary and serialize on a mutex.
+//! tests live in their own integration binary and each holds one mutex
+//! for its whole body: no cache build runs while a sibling's fault is
+//! armed.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -19,14 +21,24 @@ const MODEL: &str =
 struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl FaultGuard {
-    fn arm(fault: &str) -> Self {
+    /// Takes the lock; the previous holder's drop left no fault armed.
+    fn lock() -> Self {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         let guard = LOCK
             .get_or_init(Mutex::default)
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        std::env::set_var("LSS_CACHE_FAULT", fault);
         FaultGuard(guard)
+    }
+
+    /// Arms `fault` for the builds that follow.
+    fn arm(&self, fault: &str) {
+        std::env::set_var("LSS_CACHE_FAULT", fault);
+    }
+
+    /// Clears the armed fault while keeping the lock.
+    fn disarm(&self) {
+        std::env::remove_var("LSS_CACHE_FAULT");
     }
 }
 
@@ -58,20 +70,20 @@ fn reference_netlist_json() -> String {
 
 #[test]
 fn unwritable_dir_degrades_to_cold_builds() {
+    let faults = FaultGuard::lock();
     let dir = temp_cache("unwritable");
     let reference = reference_netlist_json();
-    {
-        let _fault = FaultGuard::arm("unwritable");
-        let mut cold = session(&dir);
-        let built = cold.elaborate().expect("build succeeds despite fault");
-        assert_eq!(built.cache, CacheOutcome::Miss);
-        assert_eq!(lss_netlist::to_json(&built.netlist), reference);
-        assert!(
-            cold.warnings().iter().any(|w| w.contains("injected")),
-            "store failure must be surfaced: {:?}",
-            cold.warnings()
-        );
-    }
+    faults.arm("unwritable");
+    let mut cold = session(&dir);
+    let built = cold.elaborate().expect("build succeeds despite fault");
+    assert_eq!(built.cache, CacheOutcome::Miss);
+    assert_eq!(lss_netlist::to_json(&built.netlist), reference);
+    assert!(
+        cold.warnings().iter().any(|w| w.contains("injected")),
+        "store failure must be surfaced: {:?}",
+        cold.warnings()
+    );
+    faults.disarm();
     // Nothing was stored, so a fault-free session still builds cold.
     let mut after = session(&dir);
     let rebuilt = after.elaborate().expect("rebuild");
@@ -82,15 +94,15 @@ fn unwritable_dir_degrades_to_cold_builds() {
 
 #[test]
 fn short_write_is_caught_by_the_integrity_gate() {
+    let faults = FaultGuard::lock();
     let dir = temp_cache("short-write");
     let reference = reference_netlist_json();
-    {
-        let _fault = FaultGuard::arm("short-write");
-        // The torn store reports success — the build itself is fine.
-        let built = session(&dir).elaborate().expect("cold build");
-        assert_eq!(built.cache, CacheOutcome::Miss);
-        assert_eq!(lss_netlist::to_json(&built.netlist), reference);
-    }
+    faults.arm("short-write");
+    // The torn store reports success — the build itself is fine.
+    let built = session(&dir).elaborate().expect("cold build");
+    assert_eq!(built.cache, CacheOutcome::Miss);
+    assert_eq!(lss_netlist::to_json(&built.netlist), reference);
+    faults.disarm();
     // The warm session must detect the torn entry, warn, and rebuild —
     // never deserialize half a netlist.
     let mut warm = session(&dir);
@@ -112,80 +124,27 @@ fn short_write_is_caught_by_the_integrity_gate() {
 
 #[test]
 fn read_errors_degrade_warm_builds_to_cold_rebuilds() {
+    let faults = FaultGuard::lock();
     let dir = temp_cache("read-error");
     let reference = reference_netlist_json();
     // A healthy entry exists on disk...
     let built = session(&dir).elaborate().expect("cold build");
     assert_eq!(built.cache, CacheOutcome::Miss);
-    {
-        // ...but every read of it fails.
-        let _fault = FaultGuard::arm("read-error");
-        let mut warm = session(&dir);
-        let rebuilt = warm.elaborate().expect("rebuild despite read fault");
-        assert_eq!(rebuilt.cache, CacheOutcome::Miss);
-        assert_eq!(lss_netlist::to_json(&rebuilt.netlist), reference);
-        assert!(
-            warm.warnings().iter().any(|w| w.contains("injected")),
-            "read fault must be surfaced: {:?}",
-            warm.warnings()
-        );
-    }
+    // ...but every read of it fails.
+    faults.arm("read-error");
+    let mut warm = session(&dir);
+    let rebuilt = warm.elaborate().expect("rebuild despite read fault");
+    assert_eq!(rebuilt.cache, CacheOutcome::Miss);
+    assert_eq!(lss_netlist::to_json(&rebuilt.netlist), reference);
+    assert!(
+        warm.warnings().iter().any(|w| w.contains("injected")),
+        "read fault must be surfaced: {:?}",
+        warm.warnings()
+    );
+    faults.disarm();
     // Fault cleared: the (rewritten) entry serves a verified hit.
     let mut again = session(&dir);
     let hit = again.elaborate().expect("clean hit");
-    assert_eq!(hit.cache, CacheOutcome::Hit);
-    assert_eq!(lss_netlist::to_json(&hit.netlist), reference);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_json_entries_are_detected_warned_about_and_replaced() {
-    let dir = temp_cache("legacy-json");
-    let reference = reference_netlist_json();
-
-    // Populate the cache, then regress the entry to the retired format-1
-    // JSON envelope: same key, `.json` extension, pre-binary payload.
-    let built = session(&dir).elaborate().expect("cold build");
-    assert_eq!(built.cache, CacheOutcome::Miss);
-    let entry = std::fs::read_dir(&dir)
-        .expect("cache dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| {
-            p.extension().is_some_and(|x| x == "bin")
-                && !p.file_name().unwrap().to_string_lossy().starts_with('p')
-        })
-        .expect("build entry written");
-    let legacy = entry.with_extension("json");
-    std::fs::write(
-        &legacy,
-        "{\"version\": 1, \"format\": 3, \"netlist\": {\"instances\": []}}",
-    )
-    .unwrap();
-    std::fs::remove_file(&entry).unwrap();
-
-    // The warm session must recognize the stale format, say so, rebuild
-    // from sources, and write a fresh binary entry.
-    let mut warm = session(&dir);
-    let rebuilt = warm.elaborate().expect("rebuild past legacy entry");
-    assert_eq!(
-        rebuilt.cache,
-        CacheOutcome::Miss,
-        "legacy entry must not hit"
-    );
-    assert_eq!(lss_netlist::to_json(&rebuilt.netlist), reference);
-    assert!(
-        warm.warnings()
-            .iter()
-            .any(|w| w.contains("legacy") && w.contains("JSON")),
-        "legacy format must be named in the warning: {:?}",
-        warm.warnings()
-    );
-    assert!(entry.exists(), "binary entry must be rewritten");
-    assert!(!legacy.exists(), "legacy JSON entry must be cleaned up");
-
-    // The replacement entry serves a clean hit.
-    let hit = session(&dir).elaborate().expect("clean hit");
     assert_eq!(hit.cache, CacheOutcome::Hit);
     assert_eq!(lss_netlist::to_json(&hit.netlist), reference);
     let _ = std::fs::remove_dir_all(&dir);
@@ -198,6 +157,7 @@ fn concurrent_same_key_builds_publish_exactly_once() {
     // published cache entry — `link(2)`-based publish makes one writer
     // win and the others observe its entry, so `lssd` worker threads
     // racing on a shared cache directory can never tear an entry.
+    let _faults = FaultGuard::lock();
     let dir = temp_cache("concurrent");
     let reference = reference_netlist_json();
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(4));
@@ -250,6 +210,7 @@ fn corrupt_entries_self_heal_so_republish_is_never_wedged() {
     // torn entry must be *removed* when its corruption is detected —
     // otherwise the rebuild could never republish and every warm session
     // would rebuild forever.
+    let _faults = FaultGuard::lock();
     let dir = temp_cache("self-heal");
     let reference = reference_netlist_json();
     let built = session(&dir).elaborate().expect("cold build");

@@ -1,6 +1,6 @@
 //! Kernel-lowerable behavior metadata.
 //!
-//! The compiled simulation engine (`lss-sim`'s `exec` module) devirtualizes
+//! The static scheduler (`lss-sim`'s `exec` module) devirtualizes
 //! hot corelib behaviors into direct port-slot reads and writes. A behavior
 //! opts in by describing itself as a [`KernelClass`]: which of its ports
 //! play which structural role, plus the resolved parameters the kernel

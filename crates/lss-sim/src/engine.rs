@@ -5,10 +5,11 @@
 //!
 //! 1. **Combinational settle** — every leaf component's `eval` computes its
 //!    outputs from this cycle's inputs and current state. The *static*
-//!    scheduler runs components once each in precomputed topological order
-//!    (iterating genuine combinational cycles to a fixpoint); the *dynamic*
-//!    scheduler is the SystemC-style baseline that re-evaluates components
-//!    from a worklist until no output changes.
+//!    scheduler runs the analyzer's condensation stage by stage: lowered
+//!    kernels with barrier-committed writes, then the stage's remaining
+//!    components once each (iterating genuine combinational cycles to a
+//!    fixpoint); the *dynamic* scheduler is the SystemC-style baseline that
+//!    re-evaluates components from a worklist until no output changes.
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
 //!
@@ -50,30 +51,20 @@ use crate::exec::{
     commit_stage, eval_stage, BatchSim, CompiledPlan, KernelMutation, SerialStep, StageInfo,
 };
 use crate::kernel::{lower, KernelUnit};
-use crate::sched::{Schedule, ScheduleStep};
+use crate::sched::Schedule;
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Precomputed topological order (LSE's approach \[12\]).
+    /// Precomputed dependency stages (LSE's approach \[12\]): each stage's
+    /// lowerable leaves run as compiled kernels with barrier-committed
+    /// writes, the rest through the `Component` vtable inline.
     #[default]
     Static,
-    /// Worklist fixpoint (structural-OOP / SystemC-style baseline).
+    /// Worklist fixpoint over the `Component` vtable, never lowered
+    /// (structural-OOP / SystemC-style baseline).
     Dynamic,
-}
-
-/// Which settle-loop engine executes the schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Interpret boxed `Component`s through the vtable (the baseline; obeys
-    /// [`SimOptions::scheduler`]).
-    #[default]
-    Interp,
-    /// Lower the condensation into per-SCC compiled kernels executed stage
-    /// by stage with barrier-committed writes (implies static scheduling;
-    /// behaviors without a lowering fall back to the dyn path inline).
-    Compiled,
 }
 
 /// Simulation options.
@@ -81,17 +72,11 @@ pub enum Engine {
 pub struct SimOptions {
     /// Scheduler choice.
     pub scheduler: Scheduler,
-    /// Settle-loop engine choice.
-    pub engine: Engine,
-    /// Worker threads for the compiled engine's stage execution (1 =
-    /// in-line). Traces are byte-identical for every value: kernels write
-    /// through per-stage buffers committed at the stage barrier.
-    pub threads: usize,
     /// Simulation seed, visible to behaviors via [`CompCtx::seed`] (the
     /// corelib source folds it into its counter). Batch lanes get one seed
     /// each; seed 0 reproduces unseeded runs exactly.
     pub seed: i64,
-    /// Injected compiled-engine bug for differential testing
+    /// Injected kernel-loop bug for differential testing
     /// ([`KernelMutation::None`] for correct execution).
     pub kernel_mutation: KernelMutation,
     /// Iteration cap for combinational-cycle fixpoints.
@@ -124,8 +109,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             scheduler: Scheduler::Static,
-            engine: Engine::Interp,
-            threads: 1,
             seed: 0,
             kernel_mutation: KernelMutation::None,
             max_fixpoint_iters: 64,
@@ -353,11 +336,7 @@ pub struct Simulator {
     path_index: Vec<(String, usize)>,
     port_names: Vec<Vec<String>>,
     static_schedule: Schedule,
-    /// Flattened schedule: `(start, len, is_fixpoint)` windows into
-    /// `sched_order`, so settling iterates without cloning step vectors.
-    sched_steps: Vec<(usize, usize, bool)>,
-    sched_order: Vec<usize>,
-    /// Compiled-engine plan (empty stages unless [`Engine::Compiled`]).
+    /// Staged static plan (empty under [`Scheduler::Dynamic`]).
     plan: CompiledPlan,
     /// Lowered kernels, contiguous per stage ([`StageInfo`] windows).
     kernels: Vec<KernelUnit>,
@@ -733,22 +712,8 @@ pub fn build(
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
     let cond = deps.graph.condense();
     let static_schedule = Schedule::from_condensation(&cond);
-    let mut sched_steps = Vec::with_capacity(static_schedule.steps.len());
-    let mut sched_order = Vec::with_capacity(n);
-    for step in &static_schedule.steps {
-        match step {
-            ScheduleStep::Single(comp) => {
-                sched_steps.push((sched_order.len(), 1, false));
-                sched_order.push(*comp);
-            }
-            ScheduleStep::Fixpoint(block) => {
-                sched_steps.push((sched_order.len(), block.len(), true));
-                sched_order.extend_from_slice(block);
-            }
-        }
-    }
 
-    // Compiled plan: group the condensation's SCCs into dependency stages
+    // Static plan: group the condensation's SCCs into dependency stages
     // (mutually independent units per stage) and lower each acyclic
     // singleton whose behavior describes a kernel. Everything else — dyn
     // behaviors, fixpoint blocks, instances with userpoints — stays on the
@@ -757,7 +722,7 @@ pub fn build(
     let mut plan = CompiledPlan::default();
     let mut kernels: Vec<KernelUnit> = Vec::new();
     let mut kernel_of: Vec<Option<usize>> = vec![None; n];
-    if opts.engine == Engine::Compiled {
+    if opts.scheduler == Scheduler::Static {
         for stage_sccs in cond.stages(&deps.graph) {
             let kstart = kernels.len();
             let sstart = plan.serial_steps.len();
@@ -953,8 +918,6 @@ pub fn build(
         path_index,
         port_names,
         static_schedule,
-        sched_steps,
-        sched_order,
         plan,
         kernels,
         kernel_of,
@@ -1005,14 +968,14 @@ impl Simulator {
         self.comps.len()
     }
 
-    /// Number of components executing as compiled kernels (0 on the interp
-    /// engine).
+    /// Number of components executing as compiled kernels (0 under
+    /// [`Scheduler::Dynamic`]).
     pub fn kernel_count(&self) -> usize {
         self.kernels.len()
     }
 
-    /// Number of dependency stages in the compiled plan (0 on the interp
-    /// engine).
+    /// Number of dependency stages in the static plan (0 under
+    /// [`Scheduler::Dynamic`]).
     pub fn stage_count(&self) -> usize {
         self.plan.stages.len()
     }
@@ -1255,10 +1218,9 @@ impl Simulator {
         for v in &mut self.core.values {
             *v = None;
         }
-        match (self.opts.engine, self.opts.scheduler) {
-            (Engine::Compiled, _) => self.settle_compiled()?,
-            (Engine::Interp, Scheduler::Static) => self.settle_static()?,
-            (Engine::Interp, Scheduler::Dynamic) => self.settle_dynamic()?,
+        match self.opts.scheduler {
+            Scheduler::Static => self.settle_staged()?,
+            Scheduler::Dynamic => self.settle_dynamic()?,
         }
         self.fire_port_events()?;
         if self.opts.check_protocols {
@@ -1305,53 +1267,28 @@ impl Simulator {
         Ok(())
     }
 
-    fn settle_static(&mut self) -> Result<(), SimError> {
-        for si in 0..self.sched_steps.len() {
-            let (start, len, fixpoint) = self.sched_steps[si];
-            self.settle_window(start, len, fixpoint, false)?;
-        }
-        Ok(())
-    }
-
-    /// The component id at position `j` of the active order array: the
-    /// static schedule's, or the compiled plan's serial order.
-    fn window_comp(&self, serial: bool, j: usize) -> usize {
-        if serial {
-            self.plan.serial_order[j]
-        } else {
-            self.sched_order[j]
-        }
-    }
-
-    /// Evaluates one schedule window through the interpreter: a single
-    /// component, or a combinational-cycle fixpoint block iterated until
-    /// its outputs stop changing.
-    fn settle_window(
-        &mut self,
-        start: usize,
-        len: usize,
-        fixpoint: bool,
-        serial: bool,
-    ) -> Result<(), SimError> {
+    /// Evaluates one serial step of the plan through the interpreter: a
+    /// single component, or a combinational-cycle fixpoint block iterated
+    /// until its outputs stop changing.
+    fn settle_window(&mut self, start: usize, len: usize, fixpoint: bool) -> Result<(), SimError> {
         if !fixpoint {
-            let comp = self.window_comp(serial, start);
-            self.eval_comp(comp)?;
+            self.eval_comp(self.plan.serial_order[start])?;
             return Ok(());
         }
         let mut iters = 0;
         loop {
             let mut any = false;
             for j in start..start + len {
-                let comp = self.window_comp(serial, j);
-                any |= self.eval_comp(comp)?;
+                any |= self.eval_comp(self.plan.serial_order[j])?;
             }
             if !any {
                 break;
             }
             iters += 1;
             if iters > self.opts.max_fixpoint_iters {
-                let names: Vec<&str> = (start..start + len)
-                    .map(|j| self.paths[self.window_comp(serial, j)].as_str())
+                let names: Vec<&str> = self.plan.serial_order[start..start + len]
+                    .iter()
+                    .map(|&c| self.paths[c].as_str())
                     .collect();
                 return Err(SimError::new(format!(
                     "combinational cycle did not settle after {} iterations: {}",
@@ -1363,13 +1300,13 @@ impl Simulator {
         Ok(())
     }
 
-    /// The compiled settle loop: per dependency stage, evaluate the
-    /// stage's kernels (in parallel when configured) with writes buffered
-    /// and committed at the stage barrier, then run the stage's serial
-    /// units through the interpreter. Stage members are mutually
-    /// independent, so the barrier commit makes the result identical to
-    /// the interpreted static schedule — at every thread count.
-    fn settle_compiled(&mut self) -> Result<(), SimError> {
+    /// The static settle loop: per dependency stage, evaluate the stage's
+    /// kernels with writes buffered and committed at the stage barrier,
+    /// then run the stage's serial units through the interpreter. Stage
+    /// members are mutually independent, so the barrier commit makes the
+    /// result identical to evaluating every leaf through the interpreter
+    /// in topological order.
+    fn settle_staged(&mut self) -> Result<(), SimError> {
         let mut held: VecDeque<(usize, Datum)> = VecDeque::new();
         for si in 0..self.plan.stages.len() {
             let stage = self.plan.stages[si];
@@ -1381,7 +1318,6 @@ impl Simulator {
                     &self.core.values,
                     self.core.cycle,
                     self.core.seed,
-                    self.opts.threads,
                     &mut buf,
                 );
                 if let Err((comp, e)) = res {
@@ -1403,7 +1339,7 @@ impl Simulator {
                     len,
                     fixpoint,
                 } = self.plan.serial_steps[sj];
-                self.settle_window(start, len, fixpoint, true)?;
+                self.settle_window(start, len, fixpoint)?;
             }
         }
         // Only the skipped-barrier mutation holds writes back this long.

@@ -1,19 +1,17 @@
-//! The compiled engine's execution plan and staged settle loop.
+//! The static scheduler's execution plan and staged settle loop.
 //!
 //! The static schedule is a topological order of the analyzer's Tarjan
 //! condensation; `lss-analyze`'s `Condensation::stages` additionally groups
 //! the SCCs into *stages* — sets of mutually independent schedule units.
-//! The compiled plan records, per stage, which units run as devirtualized
+//! The plan records, per stage, which units run as devirtualized
 //! [`Kernel`](crate::kernel::Kernel)s and which stay on the serial dyn
 //! `Component` path (behaviors without a lowering, and fixpoint blocks,
 //! which need the interpreter's change-detection machinery anyway).
 //!
-//! Execution is deterministic by construction: kernels buffer their writes
-//! and the engine commits each stage's buffer at a stage barrier, so the
-//! arena a stage reads never depends on evaluation order *within* the
-//! stage. That makes the multi-threaded path (`std::thread::scope` over
-//! chunks of a stage's kernel range) byte-identical to single-threaded
-//! execution — pinned by the `--threads 1/2/8` determinism test.
+//! Kernels buffer their writes and the engine commits each stage's buffer
+//! at a stage barrier, so the arena a stage reads never depends on
+//! evaluation order *within* the stage. The injected
+//! [`KernelMutation`]s break exactly that barrier discipline.
 
 use std::collections::VecDeque;
 
@@ -22,7 +20,7 @@ use lss_types::Datum;
 use crate::component::SimError;
 use crate::kernel::KernelUnit;
 
-/// Deliberately injected compiled-engine bugs, in the spirit of
+/// Deliberately injected kernel-loop bugs, in the spirit of
 /// `lss-verify`'s `Mutation` knob on the reference simulator: each breaks
 /// an invariant the staged executor relies on, and the differential
 /// harness must catch (and minimize) the resulting trace divergence.
@@ -63,7 +61,7 @@ pub struct SerialStep {
     pub fixpoint: bool,
 }
 
-/// One stage of the compiled plan: a window of kernels (mutually
+/// One stage of the static plan: a window of kernels (mutually
 /// independent, barrier-committed) plus a window of serial steps.
 #[derive(Debug, Clone, Copy)]
 pub struct StageInfo {
@@ -77,7 +75,7 @@ pub struct StageInfo {
     pub slen: usize,
 }
 
-/// The lowered schedule the compiled engine executes.
+/// The lowered schedule the static scheduler executes.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledPlan {
     /// Stages in dependency order.
@@ -100,14 +98,8 @@ impl CompiledPlan {
     }
 }
 
-/// Below this many kernels in a stage, spawning threads costs more than it
-/// saves and the engine evaluates the stage inline.
-pub const PAR_MIN_KERNELS: usize = 16;
-
-/// Evaluates one stage's kernel window into `out`, sequentially or across
-/// a scoped thread pool. Buffered writes are appended in kernel order
-/// (chunks re-joined in spawn order), and kernel output slots are disjoint
-/// within a stage, so the commit is identical for every thread count.
+/// Evaluates one stage's kernel window into `out`, appending buffered
+/// writes in kernel order.
 ///
 /// On error returns the failing component index with the error, for the
 /// engine to locate with its path table.
@@ -116,41 +108,12 @@ pub fn eval_stage(
     values: &[Option<Datum>],
     cycle: u64,
     seed: i64,
-    threads: usize,
     out: &mut Vec<(usize, Datum)>,
 ) -> Result<(), (usize, SimError)> {
-    if threads <= 1 || kernels.len() < PAR_MIN_KERNELS {
-        for unit in kernels {
-            unit.kernel
-                .eval(values, cycle, seed, out)
-                .map_err(|e| (unit.comp, e))?;
-        }
-        return Ok(());
-    }
-    let chunk = kernels.len().div_ceil(threads);
-    type ChunkResult = Result<Vec<(usize, Datum)>, (usize, SimError)>;
-    let results: Vec<ChunkResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = kernels
-            .chunks_mut(chunk)
-            .map(|ch| {
-                s.spawn(move || {
-                    let mut buf = Vec::new();
-                    for unit in ch {
-                        unit.kernel
-                            .eval(values, cycle, seed, &mut buf)
-                            .map_err(|e| (unit.comp, e))?;
-                    }
-                    Ok(buf)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kernel worker panicked"))
-            .collect()
-    });
-    for r in results {
-        out.extend(r?);
+    for unit in kernels {
+        unit.kernel
+            .eval(values, cycle, seed, out)
+            .map_err(|e| (unit.comp, e))?;
     }
     Ok(())
 }
@@ -161,7 +124,7 @@ pub fn eval_stage(
 /// `SimOptions::seed = seeds[k]` — the golden batch snapshots pin this.
 ///
 /// This is the substrate for parameter sweeps: the netlist, schedule, and
-/// compiled plan are structurally identical across lanes (only the seed
+/// static plan are structurally identical across lanes (only the seed
 /// differs), while each lane keeps its own value arena and kernel state.
 pub struct BatchSim {
     lanes: Vec<crate::Simulator>,

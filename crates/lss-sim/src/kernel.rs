@@ -1,15 +1,14 @@
 //! Compiled per-component kernels: devirtualized corelib behaviors.
 //!
-//! The interpreter walks the static schedule calling `Component::eval`
-//! through a vtable, snapshotting outputs for change detection and
-//! retracting unwritten lanes — machinery only fixpoint blocks need. For
-//! the hot corelib behaviors the netlist already tells us everything at
-//! build time, so the compiled engine lowers each such component into a
-//! [`Kernel`]: a monomorphized closure over resolved port *slots* in the
-//! flat value arena. Kernel `eval` is a pure function of the arena and the
-//! kernel's own state that appends `(slot, value)` writes to a buffer; the
-//! executor (`exec.rs`) commits buffers at stage barriers, which is what
-//! makes multi-threaded stage execution deterministic.
+//! The interpreter calls `Component::eval` through a vtable, snapshotting
+//! outputs for change detection and retracting unwritten lanes —
+//! machinery only fixpoint blocks need. For the hot corelib behaviors the
+//! netlist already tells us everything at build time, so the static
+//! scheduler lowers each such component into a [`Kernel`]: a
+//! monomorphized closure over resolved port *slots* in the flat value
+//! arena. Kernel `eval` is a pure function of the arena and the kernel's
+//! own state that appends `(slot, value)` writes to a buffer; the executor
+//! (`exec.rs`) commits buffers at stage barriers.
 //!
 //! Every kernel mirrors its dyn counterpart's observable behavior exactly
 //! — same values, same `state_lines()`, same error messages. The

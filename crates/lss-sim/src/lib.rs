@@ -16,12 +16,12 @@
 //! * [`engine`] — the cycle engine with both the static scheduler and a
 //!   SystemC-style dynamic (worklist fixpoint) baseline, plus the
 //!   aspect-oriented event/collector instrumentation of §4.5;
-//! * [`kernel`] — devirtualized corelib behaviors for the compiled engine:
-//!   monomorphized slot-level kernels lowered from
+//! * [`kernel`] — devirtualized corelib behaviors for the static
+//!   scheduler: monomorphized slot-level kernels lowered from
 //!   [`lss_netlist::KernelClass`] metadata;
-//! * [`exec`] — the compiled engine's staged plan, barrier-committed
-//!   (optionally multi-threaded) settle loop, injected kernel mutations
-//!   for the differential harness, and lockstep batch simulation;
+//! * [`exec`] — the static scheduler's staged plan, its single-threaded
+//!   barrier-committed settle loop, injected kernel mutations for the
+//!   differential harness, and lockstep batch simulation;
 //! * [`wave`] — VCD and ASCII waveform output from the firing log.
 
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ pub use component::{
     BuildError, CompCtx, CompSpec, Component, ComponentRegistry, PortSpec, SimError,
 };
 pub use engine::{
-    build, build_batch, comb_info, Engine, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
+    build, build_batch, comb_info, FiringRecord, Scheduler, SimOptions, SimStats, Simulator,
 };
 pub use exec::{BatchSim, CompiledPlan, KernelMutation};
 pub use kernel::{Kernel, KernelUnit};

@@ -14,6 +14,21 @@ fn signal_name(record: &FiringRecord) -> String {
     format!("{}.{}[{}]", record.path, record.port, record.lane)
 }
 
+/// The VCD identifier code of the `n`th signal: base-94 digits over the
+/// printable ASCII range `!`..=`~`, least significant first, so every
+/// signal gets a distinct code however many there are.
+fn vcd_id(mut n: usize) -> String {
+    let mut id = String::new();
+    loop {
+        id.push(char::from(b'!' + (n % 94) as u8));
+        n /= 94;
+        if n == 0 {
+            return id;
+        }
+        n -= 1;
+    }
+}
+
 /// Renders a VCD (value change dump) document from a firing log.
 ///
 /// Integers and booleans become scalar/vector signals; any other datum is
@@ -21,12 +36,11 @@ fn signal_name(record: &FiringRecord) -> String {
 /// `timescale` is cycles-per-tick text, e.g. `"1ns"`.
 pub fn to_vcd(log: &[FiringRecord], timescale: &str) -> String {
     // Collect signals in stable order.
-    let mut signals: BTreeMap<String, char> = BTreeMap::new();
+    let mut signals: BTreeMap<String, String> = BTreeMap::new();
     for record in log {
         let name = signal_name(record);
         if !signals.contains_key(&name) {
-            // VCD identifiers: printable ASCII starting at '!'.
-            let id = char::from(b'!' + (signals.len() as u8 % 94));
+            let id = vcd_id(signals.len());
             signals.insert(name, id);
         }
     }
@@ -47,7 +61,7 @@ pub fn to_vcd(log: &[FiringRecord], timescale: &str) -> String {
     for (cycle, records) in by_cycle {
         let _ = writeln!(out, "#{cycle}");
         for record in records {
-            let id = signals[&signal_name(record)];
+            let id = &signals[&signal_name(record)];
             match &record.value {
                 Datum::Int(v) => {
                     let _ = writeln!(out, "b{:b} {id}", *v as u64);

@@ -1,9 +1,10 @@
 //! The differential harness: engine vs reference, cycle by cycle.
 //!
 //! An LSS program is compiled once through the full driver pipeline, then
-//! run twice — on the production engine (`lss_sim::Simulator` with its
-//! static schedule) and on the naive [`RefSim`](crate::RefSim) fixpoint
-//! oracle — comparing the canonical `state_lines` dump after every cycle.
+//! run on the production engine (`lss_sim::Simulator` with its static
+//! schedule), on the kernel-free dynamic scheduler, and on the naive
+//! [`RefSim`](crate::RefSim) fixpoint oracle — comparing the canonical
+//! `state_lines` dump after every cycle.
 //! Any divergence (a differing line, or a runtime error on one side only)
 //! is a [`Discrepancy`], the currency the fuzzer and the minimizer trade
 //! in.
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use lss_driver::{Driver, Elaborated};
 use lss_netlist::{from_binary, from_json, to_binary, to_json, Netlist};
-use lss_sim::{Engine, KernelMutation, Scheduler, SimOptions};
+use lss_sim::{KernelMutation, Scheduler, SimOptions};
 
 use crate::exhaustive::TypeDiscrepancy;
 use crate::refsim::{Mutation, RefSim};
@@ -21,17 +22,15 @@ use crate::refsim::{Mutation, RefSim};
 /// How to run a differential comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffOptions {
-    /// Number of cycles to step both simulators.
+    /// Number of cycles to step the simulators.
     pub cycles: u64,
-    /// Scheduler used by the production engine under test.
-    pub scheduler: Scheduler,
     /// Injected reference bug (mutation testing only; [`Mutation::None`]
     /// for real verification runs).
     pub mutation: Mutation,
-    /// Injected compiled-engine bug (mutation testing only;
-    /// [`KernelMutation::None`] for real verification runs). The compiled
-    /// kernel engine always runs as a third simulator cross-checked against
-    /// the interpreter, so a mutation here must surface as a
+    /// Injected kernel-loop bug in the static scheduler (mutation testing
+    /// only; [`KernelMutation::None`] for real verification runs). The
+    /// static scheduler is always cross-checked against the kernel-free
+    /// dynamic scheduler, so a mutation here must surface as a
     /// [`Discrepancy::Kernel`].
     pub kernel_mutation: KernelMutation,
 }
@@ -40,7 +39,6 @@ impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
             cycles: 16,
-            scheduler: Scheduler::Static,
             mutation: Mutation::None,
             kernel_mutation: KernelMutation::None,
         }
@@ -80,14 +78,15 @@ pub enum Discrepancy {
         /// The reference's error.
         error: String,
     },
-    /// The compiled kernel engine diverges from the interpreter on the
-    /// same netlist (a lowering or stage-commit bug, not a frontend one).
+    /// The static scheduler's staged kernel loop diverges from the
+    /// kernel-free dynamic scheduler on the same netlist (a lowering or
+    /// stage-commit bug, not a frontend one).
     Kernel {
         /// First cycle whose post-step states (or step verdicts) differ
         /// (0-based).
         cycle: u64,
-        /// Lines present in exactly one dump (prefixed `interp:` /
-        /// `compiled:`), or a description of a step-verdict mismatch.
+        /// Lines present in exactly one dump (prefixed `static:` /
+        /// `dynamic:`), or a description of a step-verdict mismatch.
         diff: Vec<String>,
     },
     /// The netlist did not survive a JSON round-trip byte-identically.
@@ -129,7 +128,7 @@ impl std::fmt::Display for Discrepancy {
                 )
             }
             Discrepancy::Kernel { cycle, diff } => {
-                writeln!(f, "compiled engine divergence at cycle {cycle}:")?;
+                writeln!(f, "static/dynamic scheduler divergence at cycle {cycle}:")?;
                 for line in diff {
                     writeln!(f, "  {line}")?;
                 }
@@ -202,14 +201,15 @@ fn trace_diff(engine: &[String], reference: &[String]) -> Vec<String> {
     labeled_diff("engine:   ", engine, "reference:", reference)
 }
 
-fn kernel_diff(interp: &[String], compiled: &[String]) -> Vec<String> {
-    labeled_diff("interp:  ", interp, "compiled:", compiled)
+fn kernel_diff(stat: &[String], dynamic: &[String]) -> Vec<String> {
+    labeled_diff("static: ", stat, "dynamic:", dynamic)
 }
 
-/// Runs the compiled netlist on three simulators — the interpreter, the
-/// compiled kernel engine, and the naive reference — and compares state
-/// cycle-by-cycle. A compiled-vs-interpreter mismatch is reported as
-/// [`Discrepancy::Kernel`]; an interpreter-vs-reference mismatch keeps the
+/// Runs the compiled netlist on three simulators — the static scheduler
+/// (the engine under test, carrying any injected kernel mutation), the
+/// kernel-free dynamic scheduler, and the naive reference — and compares
+/// state cycle-by-cycle. A static-vs-dynamic mismatch is reported as
+/// [`Discrepancy::Kernel`]; a static-vs-reference mismatch keeps the
 /// original `Trace`/`EngineError`/`RefError` shapes.
 ///
 /// Returns `Ok(None)` when the traces agree for all requested cycles.
@@ -223,41 +223,45 @@ pub fn diff_netlist(
     netlist: &Netlist,
     opts: &DiffOptions,
 ) -> Result<Option<Discrepancy>, String> {
-    driver.sim_options.scheduler = opts.scheduler;
-    let mut engine = driver.simulator(netlist).map_err(|e| e.to_string())?;
-    let compiled_opts = SimOptions {
-        engine: Engine::Compiled,
+    let static_opts = SimOptions {
+        scheduler: Scheduler::Static,
         kernel_mutation: opts.kernel_mutation,
         ..driver.sim_options.clone()
     };
-    let mut compiled = lss_sim::build(netlist, driver.registry(), compiled_opts)
-        .map_err(|e| format!("compiled engine build: {}", e.message))?;
+    let dynamic_opts = SimOptions {
+        scheduler: Scheduler::Dynamic,
+        ..driver.sim_options.clone()
+    };
+    let mut engine = lss_sim::build(netlist, driver.registry(), static_opts)
+        .map_err(|e| format!("static scheduler build: {}", e.message))?;
+    let mut dynamic = lss_sim::build(netlist, driver.registry(), dynamic_opts)
+        .map_err(|e| format!("dynamic scheduler build: {}", e.message))?;
     let mut reference = RefSim::build(netlist, driver.registry(), opts.mutation)
         .map_err(|e| format!("reference build: {}", e.message))?;
     for cycle in 0..opts.cycles {
         let engine_step = engine.step();
-        let compiled_step = compiled.step();
+        let dynamic_step = dynamic.step();
         let ref_step = reference.step();
-        // The compiled engine must mirror the interpreter exactly: same
-        // verdict, same error message, same state.
-        match (&engine_step, &compiled_step) {
+        // The staged kernel loop must mirror the dynamic scheduler exactly:
+        // same verdict, same error message, same state.
+        match (&engine_step, &dynamic_step) {
             (Ok(()), Ok(())) => {}
             (Err(a), Err(b)) if a.message == b.message => {}
-            (Ok(()), Err(b)) => {
-                return Ok(Some(Discrepancy::Kernel {
-                    cycle,
-                    diff: vec![format!(
-                        "compiled engine failed where the interpreter ran clean: {}",
-                        b.message
-                    )],
-                }))
-            }
             (Err(a), Ok(())) => {
                 return Ok(Some(Discrepancy::Kernel {
                     cycle,
                     diff: vec![format!(
-                        "interpreter failed where the compiled engine ran clean: {}",
+                        "static scheduler failed where the dynamic scheduler ran clean: {}",
                         a.message
+                    )],
+                }))
+            }
+            (Ok(()), Err(b)) => {
+                return Ok(Some(Discrepancy::Kernel {
+                    cycle,
+                    diff: vec![format!(
+                        "dynamic scheduler failed where the static scheduler ran clean: {}",
+                        b.message
                     )],
                 }))
             }
@@ -265,19 +269,19 @@ pub fn diff_netlist(
                 return Ok(Some(Discrepancy::Kernel {
                     cycle,
                     diff: vec![
-                        format!("interp:   error: {}", a.message),
-                        format!("compiled: error: {}", b.message),
+                        format!("static:  error: {}", a.message),
+                        format!("dynamic: error: {}", b.message),
                     ],
                 }))
             }
         }
         if engine_step.is_ok() {
             let engine_lines = engine.state_lines();
-            let compiled_lines = compiled.state_lines();
-            if engine_lines != compiled_lines {
+            let dynamic_lines = dynamic.state_lines();
+            if engine_lines != dynamic_lines {
                 return Ok(Some(Discrepancy::Kernel {
                     cycle,
-                    diff: kernel_diff(&engine_lines, &compiled_lines),
+                    diff: kernel_diff(&engine_lines, &dynamic_lines),
                 }));
             }
         }
@@ -496,8 +500,6 @@ fn diff_project_vs_single_inner(
             ),
         }));
     }
-    single_driver.sim_options.scheduler = opts.scheduler;
-    project_driver.sim_options.scheduler = opts.scheduler;
     let mut single = single_driver
         .simulator(single_netlist)
         .map_err(|e| e.to_string())?;

@@ -38,7 +38,7 @@ pub struct FuzzConfig {
     /// Injected reference bug (mutation testing; [`Mutation::None`] for
     /// real runs).
     pub mutation: Mutation,
-    /// Injected compiled-engine bug (mutation testing;
+    /// Injected kernel-loop bug (mutation testing;
     /// [`KernelMutation::None`] for real runs).
     pub kernel_mutation: KernelMutation,
     /// Directory for minimized repro files.
@@ -115,7 +115,6 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> FuzzReport {
             cycles: spec.cycles,
             mutation: cfg.mutation,
             kernel_mutation: cfg.kernel_mutation,
-            ..DiffOptions::default()
         };
         let discrepancy = check_one(cfg, &spec, &opts, &mut report);
         report.iters += 1;

@@ -54,6 +54,6 @@ pub use protocol::{
 };
 pub use refsim::{Mutation, RefSim};
 
-/// Re-exported so harness callers can inject compiled-engine bugs without
+/// Re-exported so harness callers can inject kernel-loop bugs without
 /// depending on `lss-sim` directly.
 pub use lss_sim::KernelMutation;

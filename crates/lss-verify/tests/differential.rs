@@ -165,7 +165,7 @@ fn minimizer_shrinks_hand_built_finding_to_three_instances() {
 
 #[test]
 fn stale_commit_kernel_mutation_is_caught_and_minimized() {
-    // The compiled engine runs as a third simulator inside every difftest;
+    // The dynamic scheduler cross-checks the static one in every difftest;
     // an injected stage-commit bug (the last buffered write of each stage
     // silently dropped) must surface as a `kernel` discrepancy and shrink
     // to a small repro, exactly like the reference-simulator mutations.
@@ -214,7 +214,7 @@ fn skip_barrier_kernel_mutation_is_caught() {
     // The second injected kernel bug: all buffered writes held past the
     // stage barriers and committed only after the settle pass, so any
     // *combinational* consumer (the tee here) reads an absent value while
-    // the interpreter sees the real one. A pure delay chain cannot tell —
+    // the dynamic scheduler sees the real one. A pure delay chain cannot tell —
     // delays sample at end-of-timestep, after the late commit — which is
     // exactly why the repro needs the combinational hop.
     let opts = DiffOptions {
@@ -240,9 +240,9 @@ fn skip_barrier_kernel_mutation_is_caught() {
 
 #[test]
 fn kernel_mutations_do_not_confuse_the_reference_oracle() {
-    // A kernel mutation lives strictly on the compiled path: the
-    // interpreter-vs-reference comparison must still run clean, so every
-    // finding it produces is attributed to the compiled engine.
+    // A kernel mutation lives strictly on the static scheduler's kernel
+    // path: the static-vs-dynamic check sees it first, so every finding it
+    // produces is attributed to the kernel loop, not to the reference.
     let opts = DiffOptions {
         kernel_mutation: KernelMutation::StaleCommit,
         ..DiffOptions::default()

@@ -1,11 +1,10 @@
-//! Kernel-equivalence harness: the compiled engine must be observationally
-//! indistinguishable from the interpreter and from the naive fixpoint
-//! reference simulator.
+//! Kernel-equivalence harness: the static scheduler's staged kernel loop
+//! must be observationally indistinguishable from the kernel-free dynamic
+//! scheduler and from the naive fixpoint reference simulator.
 //!
 //! Three-way lockstep over all six Table 3 models and every single-file
 //! fuzz-corpus entry, comparing the canonical `state_lines()` dump after
-//! every cycle; plus a determinism check that the compiled engine's trace
-//! is byte-identical at `--threads 1`, `2`, and `8`.
+//! every cycle.
 
 use std::fs;
 use std::path::PathBuf;
@@ -13,28 +12,16 @@ use std::path::PathBuf;
 use lss_interp::CompileOptions;
 use lss_models::{compile_model, compile_source, models};
 use lss_netlist::Netlist;
-use lss_sim::{build, Engine, Scheduler, SimOptions, Simulator};
+use lss_sim::{build, Scheduler, SimOptions, Simulator};
 use lss_verify::{Mutation, RefSim};
 
 const CYCLES: u64 = 50;
 
-fn interp_opts() -> SimOptions {
-    SimOptions {
-        scheduler: Scheduler::Static,
+fn build_engine(netlist: &Netlist, scheduler: Scheduler) -> Simulator {
+    let opts = SimOptions {
+        scheduler,
         ..Default::default()
-    }
-}
-
-fn compiled_opts(threads: usize) -> SimOptions {
-    SimOptions {
-        scheduler: Scheduler::Static,
-        engine: Engine::Compiled,
-        threads,
-        ..Default::default()
-    }
-}
-
-fn build_engine(netlist: &Netlist, opts: SimOptions) -> Simulator {
+    };
     build(netlist, &lss_corelib::registry(), opts).expect("engine build")
 }
 
@@ -42,17 +29,17 @@ fn build_engine(netlist: &Netlist, opts: SimOptions) -> Simulator {
 /// every cycle. Returns an error message naming the first divergence.
 fn three_way(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
     let registry = lss_corelib::registry();
-    let mut interp = build_engine(netlist, interp_opts());
-    let mut compiled = build_engine(netlist, compiled_opts(1));
+    let mut stat = build_engine(netlist, Scheduler::Static);
+    let mut dynamic = build_engine(netlist, Scheduler::Dynamic);
     let mut reference =
         RefSim::build(netlist, &registry, Mutation::None).map_err(|e| format!("{name}: {e}"))?;
     reference.init().map_err(|e| format!("{name}: {e}"))?;
     for cycle in 0..cycles {
         // All three must agree on success/failure as well as on state.
-        let ri = interp.step();
-        let rc = compiled.step();
+        let rs = stat.step();
+        let rd = dynamic.step();
         let rr = reference.step();
-        match (&ri, &rc, &rr) {
+        match (&rs, &rd, &rr) {
             (Ok(()), Ok(()), Ok(())) => {}
             (Err(a), Err(b), Err(c)) => {
                 let (a, b, c) = (a.to_string(), b.to_string(), c.to_string());
@@ -60,28 +47,28 @@ fn three_way(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
                     return Ok(()); // agreed failure: equivalent behavior
                 }
                 return Err(format!(
-                    "{name} cycle {cycle}: engines disagree on error:\n  interp:   {a}\n  compiled: {b}\n  refsim:   {c}"
+                    "{name} cycle {cycle}: engines disagree on error:\n  static:  {a}\n  dynamic: {b}\n  refsim:  {c}"
                 ));
             }
             _ => {
                 return Err(format!(
-                    "{name} cycle {cycle}: engines disagree on success: interp={ri:?} compiled={rc:?} refsim={rr:?}"
+                    "{name} cycle {cycle}: engines disagree on success: static={rs:?} dynamic={rd:?} refsim={rr:?}"
                 ));
             }
         }
-        let li = interp.state_lines();
-        let lc = compiled.state_lines();
+        let ls = stat.state_lines();
+        let ld = dynamic.state_lines();
         let lr = reference.state_lines();
-        if li != lc {
-            let diff = first_diff(&li, &lc);
+        if ls != ld {
+            let diff = first_diff(&ls, &ld);
             return Err(format!(
-                "{name} cycle {cycle}: compiled diverges from interp:\n{diff}"
+                "{name} cycle {cycle}: dynamic diverges from static:\n{diff}"
             ));
         }
-        if li != lr {
-            let diff = first_diff(&li, &lr);
+        if ls != lr {
+            let diff = first_diff(&ls, &lr);
             return Err(format!(
-                "{name} cycle {cycle}: refsim diverges from interp:\n{diff}"
+                "{name} cycle {cycle}: refsim diverges from static:\n{diff}"
             ));
         }
     }
@@ -114,12 +101,18 @@ fn all_table3_models_agree_three_ways() {
 
 #[test]
 fn all_table3_models_lower_kernels() {
-    // The compiled engine must actually be compiled: on every Table 3
-    // model the bulk of the leaves lower to kernels (the whole point of
-    // the engine — the dyn fallback is for the exotic residue).
+    // The static scheduler must actually lower: on every Table 3 model the
+    // bulk of the leaves run as kernels (the dyn fallback is for the
+    // exotic residue), and the dynamic baseline lowers nothing.
     for m in models() {
         let compiled = compile_model(m).expect("compile");
-        let sim = build_engine(&compiled.netlist, compiled_opts(1));
+        assert_eq!(
+            build_engine(&compiled.netlist, Scheduler::Dynamic).kernel_count(),
+            0,
+            "model {}: the dynamic scheduler lowered kernels",
+            m.id
+        );
+        let sim = build_engine(&compiled.netlist, Scheduler::Static);
         assert!(
             sim.kernel_count() * 3 >= compiled.netlist.leaves().count(),
             "model {}: only {} of {} leaves lowered to kernels",
@@ -158,32 +151,4 @@ fn corpus_agrees_three_ways() {
         }
     }
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
-}
-
-/// Runs the compiled engine and returns its per-cycle trace as one string.
-fn compiled_trace(netlist: &Netlist, threads: usize, cycles: u64) -> String {
-    let mut sim = build_engine(netlist, compiled_opts(threads));
-    let mut out = String::new();
-    for cycle in 0..cycles {
-        sim.step().expect("step");
-        out.push_str(&format!("cycle {cycle}\n"));
-        for line in sim.state_lines() {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-#[test]
-fn thread_count_does_not_change_the_trace() {
-    // Model C is the largest (two superscalar cores); ~40 cycles of its
-    // trace must be byte-identical at 1, 2 and 8 worker threads.
-    let m = lss_models::model('C').expect("model C");
-    let compiled = compile_model(m).expect("compile");
-    let t1 = compiled_trace(&compiled.netlist, 1, 40);
-    let t2 = compiled_trace(&compiled.netlist, 2, 40);
-    let t8 = compiled_trace(&compiled.netlist, 8, 40);
-    assert!(t1 == t2, "threads=2 trace differs from threads=1");
-    assert!(t1 == t8, "threads=8 trace differs from threads=1");
 }
