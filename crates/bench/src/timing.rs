@@ -74,7 +74,7 @@ pub fn to_json(samples: &[Sample]) -> String {
         writeln!(
             out,
             "  {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}}}{comma}",
-            escape(&s.name),
+            lss_netlist::json::escape(&s.name),
             s.iters,
             s.median_ns,
             s.mean_ns,
@@ -85,17 +85,6 @@ pub fn to_json(samples: &[Sample]) -> String {
     out.push(']');
     out.push('\n');
     out
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Writes samples to `path` as JSON, reporting where they went.

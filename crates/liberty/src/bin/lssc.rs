@@ -96,7 +96,8 @@
 //!   --emit-lss         pretty-print the parsed sources in canonical form
 //!   --dump-tree        print the instance hierarchy
 //!   --dump-dot         print the flattened wire graph as GraphViz dot
-//!   --dump-json        print the netlist as JSON
+//!   --emit netlist-json|netlist-bin   print the netlist as JSON, or write
+//!                      it to --output FILE (binary needs --output)
 //!   --watch PREFIX     log every value fired by instances under PREFIX
 //!   --vcd FILE         write the watched firings as a VCD waveform
 //!   --wave             print the watched firings as an ASCII waveform
@@ -347,7 +348,6 @@ struct Options {
     emit_lss: bool,
     dump_tree: bool,
     dump_dot: bool,
-    dump_json: bool,
     /// `--emit netlist-bin|netlist-json`: persist the compiled netlist.
     emit: Option<EmitKind>,
     /// `--output FILE` for `--emit` (required for the binary format).
@@ -1327,7 +1327,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         emit_lss: false,
         dump_tree: false,
         dump_dot: false,
-        dump_json: false,
         emit: None,
         output: None,
         stats: false,
@@ -1381,7 +1380,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             },
             "--dump-tree" => opts.dump_tree = true,
             "--dump-dot" => opts.dump_dot = true,
-            "--dump-json" => opts.dump_json = true,
             "--stats" => opts.stats = true,
             "--lint" => opts.lint = true,
             "--timings" => opts.timings = true,
@@ -1654,9 +1652,6 @@ fn real_main() -> ExitCode {
     }
     if opts.dump_dot {
         print!("{}", dump::dot(&compiled.netlist));
-    }
-    if opts.dump_json {
-        print!("{}", lss_netlist::to_json(&compiled.netlist));
     }
     match opts.emit {
         Some(EmitKind::NetlistBin) => {

@@ -1,10 +1,10 @@
 //! The six original `lss_netlist::lint` checks, migrated into the pass
 //! framework (`LSS103`, `LSS104`, `LSS201`, `LSS202`, `LSS301`, `LSS302`).
 //!
-//! The check implementations stay in `lss-netlist` (which keeps its thin
-//! [`lss_netlist::lint()`] aggregator as a shim for existing callers);
-//! here each check becomes a pass that maps `Lint` findings onto stable
-//! codes and per-code severity defaults.
+//! The check implementations stay in `lss-netlist` as the individual
+//! `check_*` functions of [`lss_netlist::lint`]; here each check becomes a
+//! pass that maps `Lint` findings onto stable codes and per-code severity
+//! defaults.
 
 use lss_netlist::{lint, Lint, LintKind, Netlist};
 

@@ -43,10 +43,11 @@ use lss_netlist::binary::{read_scheme, read_ty, write_scheme, write_ty, Reader, 
 use lss_netlist::{DeferredConnection, DeferredEndpoint, Netlist, SrcSpan};
 use lss_types::{PartitionMemo, SolveStats, Ty};
 
-/// Envelope format version; bump on any envelope layout change.
+/// Envelope format version; bump on any envelope layout or key change.
 /// Version 1 was the JSON envelope around netlist JSON format 3; version
-/// 2 is the binary envelope around netlist binary format 4.
-pub const CACHE_VERSION: u32 = 2;
+/// 2 is the binary envelope around netlist binary format 4; version 3
+/// keys compile options field by field instead of by their `Debug` text.
+pub const CACHE_VERSION: u32 = 3;
 
 /// Envelope magic for whole-build entries.
 const BUILD_MAGIC: [u8; 4] = *b"LSSC";

@@ -54,10 +54,10 @@ use std::time::Instant;
 
 use lss_analyze::{Analysis, AnalysisConfig, PassManager};
 use lss_ast::{parse, Diagnostic, DiagnosticBag, FileId, Program, Severity, SourceMap, Span};
-use lss_interp::{CompileOptions, Unit};
+use lss_interp::{CompileOptions, ElabOptions, Unit};
 use lss_netlist::{LinkUnit, Netlist};
 use lss_sim::{ComponentRegistry, SimOptions, Simulator};
-use lss_types::{Budget, BudgetCaps, SolveStats};
+use lss_types::{Budget, BudgetCaps, SolveStats, SolverConfig};
 
 /// The corelib program, parsed once per process.
 ///
@@ -535,7 +535,7 @@ impl Driver {
         h.write(&cache::CACHE_VERSION.to_le_bytes());
         h.write(&lss_netlist::BIN_FORMAT.to_le_bytes());
         h.write_str(lss_corelib::VERSION);
-        h.write_str(&format!("{:?}", self.options));
+        key_options(&mut h, &self.options);
         for entry in &self.units {
             h.write_str(&entry.name);
             h.write(&[entry.library as u8]);
@@ -555,7 +555,7 @@ impl Driver {
         h.write(&cache::CACHE_VERSION.to_le_bytes());
         h.write(&lss_netlist::BIN_FORMAT.to_le_bytes());
         h.write_str(lss_corelib::VERSION);
-        h.write_str(&format!("{:?}", self.options));
+        key_options(&mut h, &self.options);
         let feed = |h: &mut Fnv64, i: usize| {
             let entry = &self.units[i];
             // File ids pin the spans baked into the cached netlist.
@@ -965,6 +965,58 @@ impl Driver {
     }
 }
 
+/// Feeds every [`CompileOptions`] field into a cache key. Budgets
+/// contribute their caps, never their start instant, so sessions with
+/// equal caps share entries. The destructuring is exhaustive on purpose:
+/// a new option field fails to compile here until someone decides whether
+/// it is keyed.
+fn key_options(h: &mut Fnv64, options: &CompileOptions) {
+    let CompileOptions { elab, solver } = options;
+    let ElabOptions {
+        max_instances,
+        max_steps,
+        max_depth,
+        budget: elab_budget,
+        trace,
+        allow_deferred,
+    } = elab;
+    let SolverConfig {
+        reorder,
+        smart,
+        partition,
+        step_budget,
+        expansion_cap,
+        budget: solver_budget,
+    } = solver;
+    let opt = |h: &mut Fnv64, v: Option<u64>| match v {
+        Some(n) => {
+            h.write(&[1]);
+            h.write(&n.to_le_bytes());
+        }
+        None => h.write(&[0]),
+    };
+    for n in [*max_instances as u64, *max_steps, *max_depth as u64] {
+        h.write(&n.to_le_bytes());
+    }
+    h.write(&[u8::from(*trace), u8::from(*allow_deferred)]);
+    h.write(&[u8::from(*reorder), u8::from(*smart), u8::from(*partition)]);
+    opt(h, *step_budget);
+    h.write(&(*expansion_cap as u64).to_le_bytes());
+    for budget in [elab_budget, solver_budget] {
+        let BudgetCaps {
+            deadline,
+            max_depth,
+            max_netlist_items,
+            max_sim_cycles,
+        } = budget.caps();
+        opt(h, deadline.map(|d| d.as_secs()));
+        opt(h, deadline.map(|d| u64::from(d.subsec_nanos())));
+        opt(h, max_depth.map(u64::from));
+        opt(h, max_netlist_items);
+        opt(h, max_sim_cycles);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,12 +1141,54 @@ mod tests {
         assert_ne!(b.cache_key(), key_a);
         assert_eq!(b.elaborate().unwrap().cache, CacheOutcome::Miss);
 
-        // Different options → different key.
-        let mut c = Driver::with_corelib();
-        c.set_cache_dir(Some(dir.clone()));
-        c.add_source("m.lss", MODEL);
-        c.options.solver.smart = !c.options.solver.smart;
-        assert_ne!(c.cache_key(), key_a);
+        // Flipping any keyed option → a key distinct from every other.
+        fn key_with(flip: impl FnOnce(&mut CompileOptions)) -> u64 {
+            let mut d = Driver::with_corelib();
+            d.add_source("m.lss", MODEL);
+            flip(&mut d.options);
+            d.cache_key()
+        }
+        let mut keys = HashMap::from([(key_a, "default".to_string())]);
+        let mut distinct = |name: String, key: u64| {
+            let prev = keys.insert(key, name.clone());
+            assert!(prev.is_none(), "{name} shares a cache key with {prev:?}");
+        };
+        type Flip<T> = (&'static str, fn(&mut T));
+        let flips: [Flip<CompileOptions>; 10] = [
+            ("elab.max_instances", |o| o.elab.max_instances += 1),
+            ("elab.max_steps", |o| o.elab.max_steps += 1),
+            ("elab.max_depth", |o| o.elab.max_depth += 1),
+            ("elab.trace", |o| o.elab.trace = !o.elab.trace),
+            ("elab.allow_deferred", |o| {
+                o.elab.allow_deferred = !o.elab.allow_deferred
+            }),
+            ("solver.reorder", |o| o.solver.reorder = !o.solver.reorder),
+            ("solver.smart", |o| o.solver.smart = !o.solver.smart),
+            ("solver.partition", |o| {
+                o.solver.partition = !o.solver.partition
+            }),
+            ("solver.step_budget", |o| o.solver.step_budget = Some(7)),
+            ("solver.expansion_cap", |o| o.solver.expansion_cap += 1),
+        ];
+        for (name, flip) in flips {
+            distinct(name.to_string(), key_with(flip));
+        }
+        let cap_flips: [Flip<BudgetCaps>; 4] = [
+            ("deadline", |c| {
+                c.deadline = Some(std::time::Duration::from_millis(1500))
+            }),
+            ("max_depth", |c| c.max_depth = Some(9)),
+            ("max_netlist_items", |c| c.max_netlist_items = Some(9)),
+            ("max_sim_cycles", |c| c.max_sim_cycles = Some(9)),
+        ];
+        for (cap, flip) in cap_flips {
+            let mut caps = BudgetCaps::default();
+            flip(&mut caps);
+            let elab = key_with(|o| o.elab.budget = caps.start());
+            distinct(format!("elab.budget.{cap}"), elab);
+            let solver = key_with(|o| o.solver.budget = caps.start());
+            distinct(format!("solver.budget.{cap}"), solver);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,21 +1,24 @@
-//! JSON round-trip fidelity for every netlist the repo ships: the six
+//! Binary round-trip fidelity for every netlist the repo ships: the six
 //! Table 3 models and the standalone `examples/lss/*.lss` sources.
 //!
-//! The cache stores netlists as JSON, so `from_json(to_json(n))` must
-//! reproduce a netlist that is indistinguishable from the original — same
-//! reuse statistics, same shape counts, and a byte-identical second
-//! serialization (the integrity hash in the cache envelope depends on it).
+//! The cache stores netlists in binary format 4, so
+//! `from_binary(to_binary(n))` must reproduce a netlist that is
+//! indistinguishable from the original — same reuse statistics, same
+//! shape counts, the same JSON export, and a byte-identical second
+//! encoding (the integrity hash in the cache envelope depends on it).
 
 use lss_driver::Driver;
 use lss_interp::CompileOptions;
 use lss_models::{compile_source, models};
-use lss_netlist::json::{from_json, to_json};
+use lss_netlist::jsonval::parse_json;
 use lss_netlist::netlist::Netlist;
 use lss_netlist::stats::reuse_stats;
+use lss_netlist::{from_binary, to_binary, to_json, JSON_FORMAT};
 
 fn assert_round_trip(name: &str, netlist: &Netlist) {
-    let first = to_json(netlist);
-    let restored = from_json(&first).unwrap_or_else(|e| panic!("{name}: from_json failed: {e}"));
+    let first = to_binary(netlist);
+    let restored =
+        from_binary(&first).unwrap_or_else(|e| panic!("{name}: from_binary failed: {e}"));
 
     // Reuse statistics (Table 2) survive the trip. f64 fields compare via
     // Debug so an accidental NaN shows up as a readable mismatch.
@@ -42,29 +45,59 @@ fn assert_round_trip(name: &str, netlist: &Netlist) {
         "{name}: constraint count changed"
     );
 
-    // The second serialization is byte-identical to the first, so the
-    // cache's content hash is stable across store/load cycles.
-    let second = to_json(&restored);
+    // The second encoding is byte-identical to the first, so the cache's
+    // content hash is stable across store/load cycles.
+    let second = to_binary(&restored);
     assert_eq!(
         first, second,
-        "{name}: second serialization is not byte-identical"
+        "{name}: second encoding is not byte-identical"
+    );
+    assert_eq!(
+        to_json(netlist),
+        to_json(&restored),
+        "{name}: the decoded netlist exports different JSON"
     );
 }
 
-#[test]
-fn table3_models_round_trip_through_json() {
-    for model in models() {
-        let compiled = compile_source(model.source, &CompileOptions::default())
-            .unwrap_or_else(|e| panic!("model {} failed to compile:\n{e}", model.id));
-        assert_round_trip(&format!("model {}", model.id), &compiled.netlist);
+/// The JSON export read back by an independent parser: a well-formed
+/// document of the current format whose item arrays match the netlist.
+fn assert_json_export_parses(name: &str, netlist: &Netlist) {
+    let doc = parse_json(&to_json(netlist))
+        .unwrap_or_else(|e| panic!("{name}: JSON export does not parse: {e}"));
+    assert_eq!(
+        doc.get("format").and_then(|f| f.as_i64()),
+        Some(i64::from(JSON_FORMAT)),
+        "{name}: wrong format number"
+    );
+    for (key, len) in [
+        ("instances", netlist.instances.len()),
+        ("connections", netlist.connections.len()),
+        ("constraints", netlist.constraints.len()),
+    ] {
+        let items = doc
+            .get(key)
+            .and_then(|v| v.as_array())
+            .unwrap_or_else(|| panic!("{name}: `{key}` is not an array"));
+        assert_eq!(items.len(), len, "{name}: `{key}` length");
     }
 }
 
 #[test]
-fn generated_programs_round_trip_through_json() {
+fn table3_models_round_trip_through_binary() {
+    for model in models() {
+        let compiled = compile_source(model.source, &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("model {} failed to compile:\n{e}", model.id));
+        let name = format!("model {}", model.id);
+        assert_round_trip(&name, &compiled.netlist);
+        assert_json_export_parses(&name, &compiled.netlist);
+    }
+}
+
+#[test]
+fn generated_programs_round_trip_through_binary() {
     // Property test over the structure-aware fuzzer: every netlist the
     // generator produces — hierarchical wrappers, disjunctive alus,
-    // cache/bp clusters — must survive the cache's JSON format.
+    // cache/bp clusters — must survive the cache's binary format.
     let cfg = lss_verify::GenConfig::default();
     let mut compiled_count = 0;
     for seed in 0..24u64 {
@@ -116,7 +149,7 @@ fn protocol_annotations_round_trip_byte_identically() {
         .unwrap_or_else(|e| panic!("protocol model failed to compile:\n{e}"));
     let netlist = &compiled.netlist;
 
-    // The format-3 JSON carries the bindings: queue (2 groups), fu (2),
+    // The netlist carries the bindings: queue (2 groups), fu (2),
     // cache (2), memory-free; plus the instance-level custom automaton.
     let annotated: usize = netlist.instances.iter().map(|i| i.protocols.len()).sum();
     assert!(
@@ -136,7 +169,7 @@ fn protocol_annotations_round_trip_byte_identically() {
 
     // Binding-level fidelity, not just byte identity: every group, role,
     // template, and transition table survives the trip.
-    let restored = from_json(&to_json(netlist)).expect("reparses");
+    let restored = from_binary(&to_binary(netlist)).expect("decodes");
     for (a, b) in netlist.instances.iter().zip(restored.instances.iter()) {
         assert_eq!(
             a.protocols, b.protocols,
@@ -191,7 +224,7 @@ fn cache_warm_loads_preserve_protocol_annotations() {
 }
 
 #[test]
-fn example_sources_round_trip_through_json() {
+fn example_sources_round_trip_through_binary() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/lss");
     let mut seen = 0;
     for entry in std::fs::read_dir(&dir).expect("examples/lss exists") {

@@ -1,20 +1,20 @@
 //! Compact binary serialization of the elaborated netlist (format 4).
 //!
-//! The document mirrors [`crate::json`]'s format-3 data model exactly —
-//! interner symbols, type-variable names, elaboration counters, module
-//! metadata, full instances, connections, collectors, and the constraint
-//! set — but encodes it as length-prefixed binary sections instead of
-//! JSON text: an interned-symbol table up front, dense ID arrays for
-//! endpoints, LEB128 varints for lengths and indices, and raw IEEE-754
-//! bits for floats (so NaN payloads survive without tagging tricks).
+//! The document carries the same data model [`crate::json`]'s format-3
+//! export writes — interner symbols, type-variable names, elaboration
+//! counters, module metadata, full instances, connections, collectors,
+//! and the constraint set — but encodes it as length-prefixed binary
+//! sections instead of JSON text: an interned-symbol table up front,
+//! dense ID arrays for endpoints, LEB128 varints for lengths and indices,
+//! and raw IEEE-754 bits for floats (so NaN payloads survive without
+//! tagging tricks).
 //!
 //! [`to_binary`] is a pure function of the netlist, so
-//! encode→decode→encode is byte-identical (the same invariant the JSON
-//! round-trip suite pins). Decoding validates every cross-reference
-//! (symbols, instance ids, port ids) before returning, mirroring the JSON
-//! reader: a corrupt document yields `Err`, never a netlist that panics
-//! later. This format backs the driver's on-disk cache (format 4 entries);
-//! JSON remains for external tooling.
+//! encode→decode→encode is byte-identical. Decoding validates every
+//! cross-reference (symbols, instance ids, port ids) before returning: a
+//! corrupt document yields `Err`, never a netlist that panics later. This
+//! is the only format netlists are read back from; it backs the driver's
+//! on-disk cache, while JSON is export-only.
 
 use std::collections::BTreeMap;
 
@@ -899,7 +899,7 @@ pub fn from_binary(bytes: &[u8]) -> Result<Netlist, String> {
         n.connections.push(Connection { src, dst });
     }
     // Validate endpoint references so a corrupt document cannot produce a
-    // netlist that panics later (mirrors the JSON reader).
+    // netlist that panics later.
     for c in &n.connections {
         for e in [c.src, c.dst] {
             let inst = n
@@ -948,9 +948,14 @@ pub fn from_binary(bytes: &[u8]) -> Result<Netlist, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{from_json, to_json};
+    use crate::json::to_json;
     use crate::netlist::testutil::{add, ep};
 
+    /// Exercises every serialized corner: params of each float kind,
+    /// userpoints, runtime vars, events, collectors, module metadata,
+    /// constraints with each origin and with struct/array/disjunctive
+    /// schemes, and protocol bindings (a built-in template and a custom
+    /// automaton).
     fn sample() -> Netlist {
         let mut n = Netlist::new();
         let a = add(
@@ -980,6 +985,9 @@ mod tests {
         n.instance_mut(a)
             .params
             .insert("nan".into(), Datum::Float(f64::NAN));
+        n.instance_mut(b)
+            .params
+            .insert("scale".into(), Datum::Float(2.0));
         n.instance_mut(a).ports[0].ty = Some(Ty::Int);
         n.instance_mut(a).ports[0].width = 1;
         n.instance_mut(a).userpoints.push(Userpoint {
@@ -992,6 +1000,31 @@ mod tests {
             src: ep(a, 0, 0),
             dst: ep(b, 0, 0),
         });
+        let rtv = n.intern("count");
+        let ev = n.intern("sent");
+        n.instance_mut(a).runtime_vars.push(RuntimeVar {
+            name: rtv,
+            ty: Ty::Int,
+            init: Datum::Int(0),
+        });
+        n.instance_mut(a).events.push(EventDecl {
+            name: ev,
+            args: vec![Ty::Int, Ty::record([("x", Ty::Float)])],
+        });
+        n.collectors.push(Collector {
+            inst: a,
+            event: ev,
+            code: "total += 1;".into(),
+        });
+        let wide = n.intern("wide");
+        n.modules.insert(
+            wide,
+            ModuleMeta {
+                hierarchical: true,
+                from_library: false,
+                trivial: true,
+            },
+        );
         n.constraints.push(Constraint::with_origin(
             Scheme::Var(TyVar(0)),
             Scheme::Or(vec![Scheme::Int, Scheme::Float]),
@@ -1000,18 +1033,32 @@ mod tests {
                 dst: "b.in".into(),
             },
         ));
-        n.instances[0].protocols.push(ProtocolBinding {
+        n.constraints.push(Constraint::with_origin(
+            Scheme::Array(Box::new(Scheme::Var(TyVar(1))), 4),
+            Scheme::Struct(vec![("f".into(), Scheme::Bool)]),
+            ConstraintOrigin::Annotation {
+                target: "b.in".into(),
+            },
+        ));
+        n.constraints.push(Constraint::with_origin(
+            Scheme::Int,
+            Scheme::Int,
+            ConstraintOrigin::PortDecl {
+                port: "a.out".into(),
+            },
+        ));
+        n.constraints.push(Constraint::with_origin(
+            Scheme::String,
+            Scheme::String,
+            ConstraintOrigin::Synthetic,
+        ));
+        n.instance_mut(a).protocols.push(ProtocolBinding {
             group: "outs".into(),
             role: Role::Producer,
             automaton: Automaton {
-                template: Template::Custom("loopy".into()),
-                states: vec!["idle".into(), "busy".into()],
-                transitions: vec![Transition {
-                    from: 0,
-                    to: 1,
-                    dir: ActionDir::Recv,
-                    action: "item".into(),
-                }],
+                template: Template::Credit(Some(4)),
+                states: Vec::new(),
+                transitions: Vec::new(),
             },
             ports: vec![PortId(0)],
             span: SrcSpan {
@@ -1019,6 +1066,30 @@ mod tests {
                 start: 10,
                 end: 42,
             },
+        });
+        n.instance_mut(b).protocols.push(ProtocolBinding {
+            group: "ins".into(),
+            role: Role::Consumer,
+            automaton: Automaton {
+                template: Template::Custom("loopy".into()),
+                states: vec!["idle".into(), "busy".into()],
+                transitions: vec![
+                    Transition {
+                        from: 0,
+                        to: 1,
+                        dir: ActionDir::Recv,
+                        action: "item".into(),
+                    },
+                    Transition {
+                        from: 1,
+                        to: 0,
+                        dir: ActionDir::Send,
+                        action: "go".into(),
+                    },
+                ],
+            },
+            ports: vec![PortId(0)],
+            span: SrcSpan::default(),
         });
         n
     }
@@ -1030,8 +1101,30 @@ mod tests {
         let back = from_binary(&bytes).expect("round trip");
         let bytes2 = to_binary(&back);
         assert_eq!(bytes, bytes2, "second emission must be byte-identical");
-        // And it agrees with the JSON model observationally.
         assert_eq!(to_json(&back), to_json(&n));
+
+        // Observational equality on the pieces downstream passes read.
+        assert_eq!(back.instances.len(), n.instances.len());
+        assert_eq!(back.connections.len(), n.connections.len());
+        assert_eq!(back.collectors.len(), n.collectors.len());
+        assert_eq!(back.modules, n.modules);
+        assert_eq!(back.constraints, n.constraints);
+        assert_eq!(back.elab, n.elab);
+        assert_eq!(back.vars.len(), n.vars.len());
+        // NaN params defeat PartialEq; Debug renders them identically.
+        assert_eq!(
+            format!("{:?}", back.instances),
+            format!("{:?}", n.instances)
+        );
+        assert_eq!(
+            crate::stats::reuse_stats(&back),
+            crate::stats::reuse_stats(&n)
+        );
+        let nan = back.instances[0].params.get("nan").unwrap();
+        assert!(matches!(nan, Datum::Float(f) if f.is_nan()));
+        // Protocol bindings survive structurally, not just textually.
+        assert_eq!(back.instances[0].protocols, n.instances[0].protocols);
+        assert_eq!(back.instances[1].protocols, n.instances[1].protocols);
     }
 
     #[test]
@@ -1045,16 +1138,6 @@ mod tests {
     fn binary_is_smaller_than_json() {
         let n = sample();
         assert!(to_binary(&n).len() < to_json(&n).len());
-    }
-
-    #[test]
-    fn agrees_with_json_reader() {
-        // A netlist that passed through JSON equals one that passed
-        // through binary (modulo NaN, compared via re-dump).
-        let n = sample();
-        let via_json = from_json(&to_json(&n)).unwrap();
-        let via_bin = from_binary(&to_binary(&n)).unwrap();
-        assert_eq!(to_json(&via_json), to_json(&via_bin));
     }
 
     #[test]

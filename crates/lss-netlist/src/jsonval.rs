@@ -1,10 +1,10 @@
-//! A minimal JSON reader for the netlist serialization and the driver's
-//! on-disk cache envelopes. Hand-rolled for the same reason the writer in
-//! [`crate::json`] is: the documents are small, the schema is ours, and a
-//! serializer dependency is not warranted (DESIGN.md §6).
+//! A minimal JSON reader for `lssd`'s wire protocol and for tests that
+//! check the [`crate::json`] export independently of its writer.
+//! Hand-rolled for the same reason the writer is: the documents are
+//! small, the schema is ours, and a serializer dependency is not
+//! warranted (DESIGN.md §6).
 //!
-//! Objects preserve key order (they are stored as `Vec<(String, JsonValue)>`),
-//! which is what lets `from_json(to_json(n))` re-emit byte-identical output.
+//! Objects preserve key order (they are stored as `Vec<(String, JsonValue)>`).
 
 use std::fmt;
 
@@ -52,23 +52,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as an `f64` (integers widen).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Int(v) => Some(*v as f64),
-            JsonValue::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -83,11 +66,6 @@ impl JsonValue {
             JsonValue::Object(members) => Some(members),
             _ => None,
         }
-    }
-
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
     }
 }
 
@@ -344,10 +322,16 @@ mod tests {
         let v = parse_json(r#"{"a": 1, "b": -2.5, "c": [true, false, null], "d": {"k": "v"}}"#)
             .unwrap();
         assert_eq!(v.get("a").unwrap().as_i64(), Some(1));
-        assert_eq!(v.get("b").unwrap().as_f64(), Some(-2.5));
+        assert_eq!(v.get("b"), Some(&JsonValue::Float(-2.5)));
         let c = v.get("c").unwrap().as_array().unwrap();
-        assert_eq!(c[0].as_bool(), Some(true));
-        assert!(c[2].is_null());
+        assert_eq!(
+            c,
+            [
+                JsonValue::Bool(true),
+                JsonValue::Bool(false),
+                JsonValue::Null
+            ]
+        );
         assert_eq!(v.get("d").unwrap().get("k").unwrap().as_str(), Some("v"));
     }
 

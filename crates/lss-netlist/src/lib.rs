@@ -9,9 +9,12 @@
 //!   into direct leaf-to-leaf [`Wire`]s for the simulator;
 //! * [`stats`] — the reuse metrics behind the paper's Table 2;
 //! * [`lint`] — advisory static model checks (unconnected inputs, dangling
-//!   hierarchical ports, suspicious width mismatches);
-//! * [`json`] — complete JSON serialization ([`to_json`] / [`from_json`]
-//!   round-trip) for the driver's netlist cache and external tooling;
+//!   hierarchical ports, suspicious width mismatches), run as passes by
+//!   `lss-analyze`;
+//! * [`binary`] — the compact binary encoding ([`to_binary`] /
+//!   [`from_binary`], format 4) the driver's netlist cache stores;
+//! * [`json`] — output-only JSON export ([`to_json`]) for external
+//!   tooling, with [`jsonval`] as the reader for `lssd`'s wire protocol;
 //! * [`dump`] — ASCII-tree and GraphViz renderings.
 //!
 //! # Example
@@ -40,13 +43,13 @@ pub mod stats;
 
 pub use binary::{from_binary, to_binary, BIN_FORMAT};
 pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, UserpointId};
-pub use json::{from_json, from_value, to_json, JSON_FORMAT};
+pub use json::{to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};
 pub use kernel::{KernelAluOp, KernelClass};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
 pub use lint::{
     check_dangling_hierarchical, check_isolated, check_unbound_collectors, check_unconnected,
-    check_width_mismatch, lint, Lint, LintKind,
+    check_width_mismatch, Lint, LintKind,
 };
 pub use netlist::{
     Collector, Connection, Dir, ElabStats, Endpoint, EventDecl, InstRef, Instance, InstanceId,

@@ -63,21 +63,6 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Runs all lints over the netlist.
-///
-/// This is a thin aggregation shim over the individual `check_*`
-/// functions; the pass-manager framework in `lss-analyze` registers each
-/// check as its own pass with a stable diagnostic code.
-pub fn lint(netlist: &Netlist) -> Vec<Lint> {
-    let mut findings = Vec::new();
-    check_unconnected(netlist, &mut findings);
-    check_isolated(netlist, &mut findings);
-    check_dangling_hierarchical(netlist, &mut findings);
-    check_width_mismatch(netlist, &mut findings);
-    check_unbound_collectors(netlist, &mut findings);
-    findings
-}
-
 /// Unconnected inputs/outputs on leaves that have at least one connected
 /// port ([`LintKind::UnconnectedInput`], [`LintKind::UnconnectedOutput`]).
 pub fn check_unconnected(netlist: &Netlist, findings: &mut Vec<Lint>) {
@@ -258,6 +243,17 @@ mod tests {
     use super::*;
     use crate::netlist::testutil::{add, ep};
     use crate::netlist::{Connection, InstanceKind};
+
+    /// Every check, in the order `lss-analyze` registers them.
+    fn lint(netlist: &Netlist) -> Vec<Lint> {
+        let mut findings = Vec::new();
+        check_unconnected(netlist, &mut findings);
+        check_isolated(netlist, &mut findings);
+        check_dangling_hierarchical(netlist, &mut findings);
+        check_width_mismatch(netlist, &mut findings);
+        check_unbound_collectors(netlist, &mut findings);
+        findings
+    }
 
     fn leaf(
         netlist: &mut Netlist,

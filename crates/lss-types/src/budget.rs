@@ -205,8 +205,8 @@ struct Inner {
 ///
 /// Cloning shares the same deadline and poll counter, so every pipeline
 /// stage draws down one allowance. Equality and `Debug` consider only the
-/// *configured* caps (never the live clock), so embedding a `Budget` in
-/// cache-keyed option structs keeps keys stable across runs.
+/// *configured* caps (never the live clock), so option structs that embed
+/// a `Budget` compare equal across runs.
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<Inner>,
@@ -327,8 +327,8 @@ impl Default for Budget {
     }
 }
 
-// Only the static caps: a live `Instant` would destabilize cache keys
-// derived from option structs that embed a `Budget`.
+// Only the static caps, matching `PartialEq`: the live `Instant` and poll
+// counter differ between otherwise identical budgets.
 impl fmt::Debug for Budget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Budget")

@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use lss_driver::{Driver, Elaborated};
-use lss_netlist::{from_binary, from_json, to_binary, to_json, Netlist};
+use lss_netlist::{from_binary, to_binary, to_json, Netlist};
 use lss_sim::{KernelMutation, Scheduler, SimOptions};
 
 use crate::exhaustive::TypeDiscrepancy;
@@ -89,7 +89,7 @@ pub enum Discrepancy {
         /// `dynamic:`), or a description of a step-verdict mismatch.
         diff: Vec<String>,
     },
-    /// The netlist did not survive a JSON round-trip byte-identically.
+    /// The netlist did not survive a binary round-trip byte-identically.
     Roundtrip {
         /// What went wrong (parse error or first differing line).
         detail: String,
@@ -134,7 +134,7 @@ impl std::fmt::Display for Discrepancy {
                 }
                 Ok(())
             }
-            Discrepancy::Roundtrip { detail } => write!(f, "JSON round-trip: {detail}"),
+            Discrepancy::Roundtrip { detail } => write!(f, "binary round-trip: {detail}"),
             Discrepancy::Split { detail } => write!(f, "project split: {detail}"),
         }
     }
@@ -318,31 +318,6 @@ pub fn diff_netlist(
     Ok(None)
 }
 
-/// Checks that `netlist` survives `to_json` → `from_json` → `to_json`
-/// byte-identically.
-pub fn check_roundtrip(netlist: &Netlist) -> Option<Discrepancy> {
-    let first = to_json(netlist);
-    let reparsed = match from_json(&first) {
-        Ok(n) => n,
-        Err(e) => {
-            return Some(Discrepancy::Roundtrip {
-                detail: format!("serialized netlist fails to parse: {e}"),
-            })
-        }
-    };
-    let second = to_json(&reparsed);
-    if first != second {
-        let line = first
-            .lines()
-            .zip(second.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| format!("first difference at line {}", i + 1))
-            .unwrap_or_else(|| "dumps differ in length".to_string());
-        return Some(Discrepancy::Roundtrip { detail: line });
-    }
-    None
-}
-
 /// Full differential run over one source text: compile, trace-compare,
 /// and round-trip-check.
 ///
@@ -360,9 +335,6 @@ pub fn difftest_source(
         Err(error) => return Ok(Some(Discrepancy::Compile { error })),
     };
     if let Some(d) = diff_netlist(&mut driver, &elab.netlist, opts)? {
-        return Ok(Some(d));
-    }
-    if let Some(d) = check_roundtrip(&elab.netlist) {
         return Ok(Some(d));
     }
     Ok(check_binary_roundtrip(&elab.netlist))
@@ -427,9 +399,6 @@ pub fn difftest_root(root: &Path, opts: &DiffOptions) -> Result<Option<Discrepan
         Err(error) => return Ok(Some(Discrepancy::Compile { error })),
     };
     if let Some(d) = diff_netlist(&mut driver, &elab.netlist, opts)? {
-        return Ok(Some(d));
-    }
-    if let Some(d) = check_roundtrip(&elab.netlist) {
         return Ok(Some(d));
     }
     Ok(check_binary_roundtrip(&elab.netlist))

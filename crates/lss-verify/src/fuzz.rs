@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use lss_types::{SolverConfig, SplitMix64};
 
 use crate::difftest::{
-    check_binary_roundtrip, check_roundtrip, compile_source, diff_netlist, diff_project_vs_single,
-    DiffOptions, Discrepancy,
+    check_binary_roundtrip, compile_source, diff_netlist, diff_project_vs_single, DiffOptions,
+    Discrepancy,
 };
 use crate::exhaustive::check_types;
 use crate::gen::{generate, GenConfig};
@@ -185,9 +185,6 @@ fn check_one(
                 })
             }
         }
-    }
-    if let Some(d) = check_roundtrip(&elab.netlist) {
-        return Some(d);
     }
     if let Some(d) = check_binary_roundtrip(&elab.netlist) {
         return Some(d);

@@ -257,7 +257,7 @@ fn kernel_mutations_do_not_confuse_the_reference_oracle() {
 }
 
 #[test]
-fn generated_netlists_roundtrip_through_json() {
+fn generated_netlists_roundtrip_through_binary() {
     for seed in [1u64, 2, 3, 4, 5] {
         let spec = generate(seed, &GenConfig::default());
         let (_driver, elab) = match lss_verify::compile_source("roundtrip.lss", &spec.render()) {
@@ -265,8 +265,8 @@ fn generated_netlists_roundtrip_through_json() {
             Err(e) => panic!("seed {seed} failed to compile: {e}"),
         };
         assert!(
-            lss_verify::check_roundtrip(&elab.netlist).is_none(),
-            "seed {seed} netlist does not survive JSON round-trip"
+            lss_verify::check_binary_roundtrip(&elab.netlist).is_none(),
+            "seed {seed} netlist does not survive the binary round-trip"
         );
     }
 }
