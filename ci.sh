@@ -24,6 +24,11 @@ cargo test -q
 echo "==> workspace: cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark is its own workspace; its tests also catch API changes
+# that would break the benchmark build.
+echo "==> benchmark: cargo test --release over benchmark/"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> flake hunt: cache_faults 20 times in a row"
 for _ in $(seq 20); do
   cargo test -q -p lss-driver --test cache_faults
@@ -63,6 +68,15 @@ echo "${warm_out}"
 hits="$(grep -c 'cache hit' <<<"${warm_out}")"
 if [ "${hits}" -ne "${#MODELS[@]}" ]; then
   echo "pipeline: expected ${#MODELS[@]} warm cache hits, saw ${hits}" >&2
+  exit 1
+fi
+# `--model a` and `--model A` name one session, so the second run hits.
+rm -rf target/lss-cache-ci-model
+./target/release/lssc --model a --timings --cache-dir target/lss-cache-ci-model >/dev/null
+model_out="$(./target/release/lssc --model A --timings --cache-dir target/lss-cache-ci-model)"
+if ! grep -q '"file": "model_A", "cache": "hit"' <<<"${model_out}"; then
+  echo "pipeline: --model A should hit the entry --model a wrote:" >&2
+  echo "${model_out}" >&2
   exit 1
 fi
 

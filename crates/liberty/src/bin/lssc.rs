@@ -131,8 +131,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use liberty::types::BudgetCaps;
-use liberty::{AnalysisConfig, Driver, DriverError, Lse, Scheduler, StageTimings};
+use liberty::{AnalysisConfig, Driver, DriverError, Quota, Scheduler, StageTimings};
 use lss_analyze::{to_jsonl, to_sarif_located, to_text_located, Code};
 use lss_netlist::{dump, reuse_stats};
 
@@ -161,115 +160,124 @@ fn print_sim_stats(stats: &liberty::SimStats, sim: Option<&liberty::Simulator>) 
     }
 }
 
-/// Where the netlist cache lives for this invocation, `None` = disabled.
-#[derive(Clone, Default)]
-struct CacheOpts {
-    disabled: bool,
-    dir: Option<String>,
+/// The session flags the default command, `build` and `check` share:
+/// context sources (`--lib`, `--no-corelib`), the cache (`--no-cache`,
+/// `--cache-dir`), `--naive-inference`, and the eight quota flags, each
+/// of which maps to one `LSS4xx` diagnostic (see docs/ROBUSTNESS.md).
+#[derive(Default)]
+struct SessionFlags {
+    libs: Vec<String>,
+    no_corelib: bool,
+    no_cache: bool,
+    cache_dir: Option<PathBuf>,
+    naive: bool,
+    quota: Quota,
 }
 
-impl CacheOpts {
-    /// Resolves the flags to a directory: `--no-cache` wins, then
-    /// `--cache-dir`, then `$LSS_CACHE_DIR`, then `target/lss-cache`.
-    fn resolve(&self) -> Option<PathBuf> {
-        if self.disabled {
-            return None;
-        }
-        if let Some(dir) = &self.dir {
-            return Some(PathBuf::from(dir));
-        }
-        match std::env::var_os("LSS_CACHE_DIR") {
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => Some(PathBuf::from("target/lss-cache")),
-        }
-    }
-
-    /// Like [`CacheOpts::resolve`], but rejects an explicitly requested
-    /// cache directory that exists and is not a directory (a corrupt or
-    /// mistyped `--cache-dir` should fail loudly, not silently disable
-    /// caching file by file).
-    fn resolve_checked(&self) -> Result<Option<PathBuf>, String> {
-        let resolved = self.resolve();
-        if self.dir.is_some() {
-            if let Some(dir) = &resolved {
-                if dir.exists() && !dir.is_dir() {
-                    return Err(format!(
-                        "cache directory {} exists but is not a directory",
-                        dir.display()
-                    ));
-                }
-            }
-        }
-        Ok(resolved)
-    }
-}
-
-/// Resource-budget flags, shared by every compiling subcommand. Each
-/// flag maps to one `LSS4xx` diagnostic code (see docs/ROBUSTNESS.md);
-/// exhaustion exits with code 3 instead of 1.
-#[derive(Clone, Default)]
-struct BudgetFlags {
-    deadline_ms: Option<u64>,     // LSS401
-    max_steps: Option<u64>,       // LSS402
-    max_instances: Option<usize>, // LSS403
-    max_depth: Option<u32>,       // LSS404
-    solver_steps: Option<u64>,    // LSS405
-    expansion_cap: Option<usize>, // LSS406
-    max_netlist: Option<u64>,     // LSS407
-    max_cycles: Option<u64>,      // LSS408
-}
-
-impl BudgetFlags {
-    /// Consumes `arg` (and its value from `args`) if it is a budget flag;
+impl SessionFlags {
+    /// Consumes `arg` (and its value from `args`) if it is a session flag;
     /// returns `false` for anything else, leaving `args` untouched.
     fn try_parse(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
-        fn num<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> T {
-            match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => n,
-                None => usage(),
-            }
-        }
         match arg {
-            "--deadline-ms" => self.deadline_ms = Some(num(args)),
-            "--max-steps" => self.max_steps = Some(num(args)),
-            "--max-instances" => self.max_instances = Some(num(args)),
-            "--max-depth" => self.max_depth = Some(num(args)),
-            "--solver-steps" => self.solver_steps = Some(num(args)),
-            "--expansion-cap" => self.expansion_cap = Some(num(args)),
-            "--max-netlist" => self.max_netlist = Some(num(args)),
-            "--max-cycles" => self.max_cycles = Some(num(args)),
-            _ => return false,
+            "--lib" => self.libs.push(args.next().unwrap_or_else(|| usage())),
+            "--no-corelib" => self.no_corelib = true,
+            "--no-cache" => self.no_cache = true,
+            "--cache-dir" => self.cache_dir = Some(args.next().unwrap_or_else(|| usage()).into()),
+            "--naive-inference" => self.naive = true,
+            _ => return quota_flag(&mut self.quota, arg, args),
         }
         true
     }
 
-    /// Applies the flags to a session: fuel caps go into the stage
-    /// options, wall-clock/depth/size caps arm the shared budget handle.
-    /// Call after any `--naive-inference` solver replacement.
-    fn apply(&self, driver: &mut Driver) {
-        if let Some(n) = self.max_steps {
-            driver.options.elab.max_steps = n;
+    /// Resolves the flags once per invocation: the cache directory (exit
+    /// 2 when a file is in the way) and the library texts (exit 1 when
+    /// one is unreadable).
+    fn resolve(self) -> Result<Session, ExitCode> {
+        let cache_dir =
+            lss_driver::cache::resolve_dir(self.no_cache, self.cache_dir).map_err(|e| {
+                eprintln!("{e}");
+                ExitCode::from(2)
+            })?;
+        let mut libs = Vec::new();
+        for lib in self.libs {
+            match std::fs::read_to_string(&lib) {
+                Ok(text) => libs.push((lib, text)),
+                Err(e) => {
+                    eprintln!("cannot read {lib}: {e}");
+                    return Err(ExitCode::from(1));
+                }
+            }
         }
-        if let Some(n) = self.max_instances {
-            driver.options.elab.max_instances = n;
-        }
-        if let Some(n) = self.max_depth {
-            driver.options.elab.max_depth = n as usize;
-        }
-        if let Some(n) = self.solver_steps {
-            driver.options.solver.step_budget = Some(n);
-        }
-        if let Some(n) = self.expansion_cap {
-            driver.options.solver.expansion_cap = n;
-        }
-        let caps = BudgetCaps {
-            deadline: self.deadline_ms.map(std::time::Duration::from_millis),
-            max_depth: self.max_depth,
-            max_netlist_items: self.max_netlist,
-            max_sim_cycles: self.max_cycles,
+        Ok(Session {
+            corelib: !self.no_corelib,
+            cache_dir,
+            naive: self.naive,
+            quota: self.quota,
+            libs,
+        })
+    }
+
+    /// Resolves the flags and opens the one session of a single-build
+    /// command; an unknown `model` exits 2.
+    fn open(self, model: Option<char>) -> Result<Driver, ExitCode> {
+        self.resolve()?.driver(model).map_err(|e| {
+            eprintln!("{e}");
+            ExitCode::from(2)
+        })
+    }
+}
+
+/// Resolved [`SessionFlags`]: configures one fresh [`Driver`] per build.
+struct Session {
+    corelib: bool,
+    cache_dir: Option<PathBuf>,
+    naive: bool,
+    quota: Quota,
+    libs: Vec<(String, String)>,
+}
+
+impl Session {
+    /// A configured driver holding the Table 3 `model` (if any), then the
+    /// libraries; the caller adds its own targets last.
+    fn driver(&self, model: Option<char>) -> Result<Driver, String> {
+        let mut driver = if self.corelib {
+            Driver::with_corelib()
+        } else {
+            Driver::new()
         };
-        if caps != BudgetCaps::default() {
-            driver.set_budget(caps);
+        driver.set_cache_dir(self.cache_dir.clone());
+        if self.naive {
+            // Before the quota, which may cap the solver it replaces.
+            driver.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
+        }
+        driver.set_quota(&self.quota);
+        if let Some(id) = model {
+            lss_models::add_model(&mut driver, id)?;
+        }
+        for (name, text) in &self.libs {
+            driver.add_library(name, text);
+        }
+        Ok(driver)
+    }
+}
+
+/// [`Quota::parse_flag`] with a bad value as a usage error (exit 2).
+fn quota_flag(quota: &mut Quota, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
+    quota.parse_flag(arg, args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
+}
+
+/// Parses a `--model` value: exactly one letter, canonically uppercase.
+fn parse_model(arg: Option<String>) -> char {
+    let arg = arg.unwrap_or_default();
+    let mut chars = arg.chars();
+    match (chars.next(), chars.next()) {
+        (Some(id), None) => id.to_ascii_uppercase(),
+        _ => {
+            eprintln!("--model needs one letter (A-F), got `{arg}`");
+            usage()
         }
     }
 }
@@ -337,8 +345,7 @@ fn print_warnings(driver: &Driver) {
 
 struct Options {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
+    session: SessionFlags,
     model: Option<char>,
     run: Option<u64>,
     run_model: bool,
@@ -353,11 +360,8 @@ struct Options {
     /// `--output FILE` for `--emit` (required for the binary format).
     output: Option<String>,
     stats: bool,
-    naive: bool,
     lint: bool,
     timings: bool,
-    cache: CacheOpts,
-    budget: BudgetFlags,
     watch: Vec<String>,
     vcd: Option<String>,
     wave: bool,
@@ -420,15 +424,11 @@ enum CheckFormat {
 
 struct CheckOptions {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
+    session: SessionFlags,
     model: Option<char>,
-    naive: bool,
     format: CheckFormat,
     config: AnalysisConfig,
     output: Option<String>,
-    cache: CacheOpts,
-    budget: BudgetFlags,
 }
 
 /// Expands a `--deny` / `--allow` selector, exiting with usage on nonsense.
@@ -462,28 +462,16 @@ fn list_codes() {
 fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
     let mut opts = CheckOptions {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
+        session: SessionFlags::default(),
         model: None,
-        naive: false,
         format: CheckFormat::Text,
         config: AnalysisConfig::default(),
         output: None,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
     };
-    let mut args = args.peekable();
+    let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
-            "--model" => match args.next().and_then(|m| m.chars().next()) {
-                Some(c) => opts.model = Some(c),
-                None => usage(),
-            },
+            "--model" => opts.model = Some(parse_model(args.next())),
             "--format" => match args.next().as_deref() {
                 Some("text") => opts.format = CheckFormat::Text,
                 Some("json") => opts.format = CheckFormat::Json,
@@ -506,14 +494,8 @@ fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
                 list_codes();
                 std::process::exit(0);
             }
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.try_parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -530,63 +512,33 @@ fn parse_check_args(args: impl Iterator<Item = String>) -> CheckOptions {
 /// The `lssc check` subcommand: compile, run the pass suite, render, gate.
 fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
     let opts = parse_check_args(args);
-    let cache_dir = match opts.cache.resolve_checked() {
-        Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let mut driver = match opts.session.open(opts.model) {
+        Ok(driver) => driver,
+        Err(code) => return code,
     };
-    let mut lse = if opts.corelib {
-        Lse::with_corelib()
-    } else {
-        Lse::new()
-    };
-    lse.set_cache_dir(cache_dir);
-    if opts.naive {
-        lse.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut lse);
-    if let Some(id) = opts.model {
-        let Some(model) = lss_models::model(id) else {
-            eprintln!("no such model `{id}` (expected A-F)");
-            return ExitCode::from(2);
-        };
-        lse.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        lse.add_source(&format!("model_{id}.lss"), model.source);
-    }
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => lse.add_library(lib, &text),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
     for file in &opts.files {
         match std::fs::read_to_string(file) {
-            Ok(text) => lse.add_source(file, &text),
+            Ok(text) => driver.add_source(file, &text),
             Err(e) => {
                 eprintln!("cannot read {file}: {e}");
                 return ExitCode::from(1);
             }
         }
     }
-    let analyzed = match lse.analyze(&opts.config) {
+    let analyzed = match driver.analyze(&opts.config) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
             return failure_exit(&e);
         }
     };
-    print_warnings(&lse);
+    print_warnings(&driver);
 
     let analysis = &analyzed.analysis;
     let report = match opts.format {
-        CheckFormat::Text => to_text_located(&analysis.findings, Some(lse.sources())),
+        CheckFormat::Text => to_text_located(&analysis.findings, Some(driver.sources())),
         CheckFormat::Json => to_jsonl(&analysis.findings),
-        CheckFormat::Sarif => to_sarif_located(&analysis.findings, Some(lse.sources())),
+        CheckFormat::Sarif => to_sarif_located(&analysis.findings, Some(driver.sources())),
     };
     match &opts.output {
         Some(path) => {
@@ -613,47 +565,28 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
 
 struct BuildOptions {
     files: Vec<String>,
-    libs: Vec<String>,
-    corelib: bool,
+    session: SessionFlags,
     jobs: usize,
-    naive: bool,
     timings: bool,
-    cache: CacheOpts,
-    budget: BudgetFlags,
 }
 
 fn parse_build_args(args: impl Iterator<Item = String>) -> BuildOptions {
     let mut opts = BuildOptions {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
+        session: SessionFlags::default(),
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        naive: false,
         timings: false,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
     };
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
             "--jobs" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n >= 1 => opts.jobs = n,
                 _ => usage(),
             },
             "--timings" => opts.timings = true,
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.try_parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -679,28 +612,21 @@ struct BuildReport {
 /// Compiles one build target — a single `.lss` file, a project root whose
 /// `import` closure is loaded with it, a directory holding an `lss.toml`,
 /// or the manifest itself — in its own driver session.
-fn build_one(file: &str, libs: &[(String, String)], opts: &BuildOptions) -> BuildReport {
-    let mut driver = if opts.corelib {
-        Driver::with_corelib()
-    } else {
-        Driver::new()
+fn build_one(file: &str, session: &Session, timings: bool) -> BuildReport {
+    let loaded = session
+        .driver(None)
+        .and_then(|mut driver| driver.add_root_file(file).map(|()| driver));
+    let mut driver = match loaded {
+        Ok(driver) => driver,
+        Err(e) => {
+            return BuildReport {
+                summary: Err(e),
+                timings: None,
+                warnings: Vec::new(),
+                budget_exhausted: false,
+            }
+        }
     };
-    driver.set_cache_dir(opts.cache.resolve());
-    if opts.naive {
-        driver.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut driver);
-    for (name, text) in libs {
-        driver.add_library(name, text);
-    }
-    if let Err(e) = driver.add_root_file(file) {
-        return BuildReport {
-            summary: Err(e),
-            timings: None,
-            warnings: Vec::new(),
-            budget_exhausted: false,
-        };
-    }
     let mut budget_exhausted = false;
     let mut modules = Vec::new();
     let (summary, cache_name) = match driver.elaborate() {
@@ -726,9 +652,7 @@ fn build_one(file: &str, libs: &[(String, String)], opts: &BuildOptions) -> Buil
     };
     BuildReport {
         summary,
-        timings: opts
-            .timings
-            .then(|| timings_json(file, cache_name, driver.timings(), &modules)),
+        timings: timings.then(|| timings_json(file, cache_name, driver.timings(), &modules)),
         warnings: driver.warnings().to_vec(),
         budget_exhausted,
     }
@@ -737,20 +661,10 @@ fn build_one(file: &str, libs: &[(String, String)], opts: &BuildOptions) -> Buil
 /// The `lssc build` subcommand: batch-compile files over a thread pool.
 fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
     let opts = parse_build_args(args);
-    if let Err(e) = opts.cache.resolve_checked() {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
-    let mut libs = Vec::new();
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => libs.push((lib.clone(), text)),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
+    let session = match opts.session.resolve() {
+        Ok(session) => session,
+        Err(code) => return code,
+    };
 
     let reports: Vec<Mutex<Option<BuildReport>>> =
         opts.files.iter().map(|_| Mutex::new(None)).collect();
@@ -763,7 +677,7 @@ fn run_build(args: impl Iterator<Item = String>) -> ExitCode {
                 let Some(file) = opts.files.get(i) else {
                     break;
                 };
-                let report = build_one(file, &libs, &opts);
+                let report = build_one(file, &session, opts.timings);
                 *reports[i].lock().unwrap() = Some(report);
             });
         }
@@ -1148,7 +1062,7 @@ fn run_difftest(args: impl Iterator<Item = String>) -> ExitCode {
 /// all retries) exit 75, the conventional "temporary failure; retry".
 fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     let mut endpoint: Option<lssd::Endpoint> = None;
-    let mut budget = BudgetFlags::default();
+    let mut quota = Quota::default();
     let mut libs: Vec<String> = Vec::new();
     let mut cycles: Option<u64> = None;
     let mut retry = true;
@@ -1158,9 +1072,9 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     let mut fault: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
 
-    let mut args = args.peekable();
+    let mut args = args;
     while let Some(arg) = args.next() {
-        if budget.try_parse(&arg, &mut args) {
+        if quota_flag(&mut quota, &arg, &mut args) {
             continue;
         }
         match arg.as_str() {
@@ -1180,15 +1094,7 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
                 Some(n) => cycles = Some(n),
                 None => usage(),
             },
-            "--model" => {
-                match args.next().and_then(|m| {
-                    let mut chars = m.chars();
-                    chars.next().filter(|_| chars.next().is_none())
-                }) {
-                    Some(id) => model = Some(id.to_ascii_uppercase()),
-                    None => usage(),
-                }
-            }
+            "--model" => model = Some(parse_model(args.next())),
             "--no-retry" => retry = false,
             "--netlist" => dump_netlist = true,
             other if verb.is_none() => match lssd::Verb::parse(other) {
@@ -1212,16 +1118,7 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
     if let Some(n) = cycles {
         request.cycles = n;
     }
-    request.quota = lssd::Quota {
-        deadline_ms: budget.deadline_ms,
-        max_steps: budget.max_steps,
-        max_instances: budget.max_instances.map(|n| n as u64),
-        max_depth: budget.max_depth,
-        solver_steps: budget.solver_steps,
-        expansion_cap: budget.expansion_cap.map(|n| n as u64),
-        max_netlist: budget.max_netlist,
-        max_cycles: budget.max_cycles,
-    };
+    request.quota = quota;
     for (dest, names) in [(&mut request.libs, &libs), (&mut request.sources, &files)] {
         for name in names {
             match std::fs::read_to_string(name) {
@@ -1317,8 +1214,7 @@ fn run_client(args: impl Iterator<Item = String>) -> ExitCode {
 fn parse_args(args: impl Iterator<Item = String>) -> Options {
     let mut opts = Options {
         files: Vec::new(),
-        libs: Vec::new(),
-        corelib: true,
+        session: SessionFlags::default(),
         model: None,
         run: None,
         run_model: false,
@@ -1330,11 +1226,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
         emit: None,
         output: None,
         stats: false,
-        naive: false,
         lint: false,
         timings: false,
-        cache: CacheOpts::default(),
-        budget: BudgetFlags::default(),
         watch: Vec::new(),
         vcd: None,
         wave: false,
@@ -1342,15 +1235,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--lib" => match args.next() {
-                Some(f) => opts.libs.push(f),
-                None => usage(),
-            },
-            "--no-corelib" => opts.corelib = false,
-            "--model" => match args.next().and_then(|m| m.chars().next()) {
-                Some(c) => opts.model = Some(c),
-                None => usage(),
-            },
+            "--model" => opts.model = Some(parse_model(args.next())),
             "--run" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) => opts.run = Some(n),
                 None => usage(),
@@ -1383,11 +1268,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--stats" => opts.stats = true,
             "--lint" => opts.lint = true,
             "--timings" => opts.timings = true,
-            "--no-cache" => opts.cache.disabled = true,
-            "--cache-dir" => match args.next() {
-                Some(d) => opts.cache.dir = Some(d),
-                None => usage(),
-            },
             "--watch" => match args.next() {
                 Some(p) => opts.watch.push(p),
                 None => usage(),
@@ -1397,9 +1277,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
                 None => usage(),
             },
             "--wave" => opts.wave = true,
-            "--naive-inference" => opts.naive = true,
             "--help" | "-h" => usage(),
-            other if opts.budget.try_parse(other, &mut args) => {}
+            other if opts.session.try_parse(other, &mut args) => {}
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}");
                 usage();
@@ -1423,17 +1302,6 @@ fn ice_dir() -> PathBuf {
     std::env::var_os("LSS_ICE_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/ice"))
-}
-
-/// A printable message from a panic payload.
-fn payload_str(payload: &dyn std::any::Any) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Builds the replayable crash report: version, full command line, panic
@@ -1470,7 +1338,7 @@ fn install_ice_hook() {
     std::panic::set_hook(Box::new(|info| {
         use std::io::Write as _;
 
-        let message = payload_str(info.payload());
+        let message = lssd::payload_str(info.payload());
         // A panic raised while *printing* (stdout/stderr closed under us,
         // e.g. `lssc ... | head`) is not a compiler bug: no report, no
         // banner. Attempting to print here would panic again and abort
@@ -1525,7 +1393,7 @@ fn main() -> ExitCode {
         // A print panic from a closed stdout/stderr is the reader going
         // away, not an ICE: exit like a SIGPIPE death (128 + 13), the code
         // shell pipelines already expect from `lssc ... | head`.
-        Err(payload) if is_broken_pipe(&payload_str(&*payload)) => ExitCode::from(141),
+        Err(payload) if is_broken_pipe(&lssd::payload_str(&*payload)) => ExitCode::from(141),
         Err(_) => ExitCode::from(4),
     }
 }
@@ -1562,49 +1430,18 @@ fn real_main() -> ExitCode {
         _ => {}
     }
     let opts = parse_args(argv);
-    let cache_dir = match opts.cache.resolve_checked() {
-        Ok(dir) => dir,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let mut driver = match opts.session.open(opts.model) {
+        Ok(driver) => driver,
+        Err(code) => return code,
     };
-    let mut lse = if opts.corelib {
-        Lse::with_corelib()
-    } else {
-        Lse::new()
-    };
-    lse.set_cache_dir(cache_dir);
-    if opts.naive {
-        lse.options.solver = liberty::SolverConfig::naive().with_budget(50_000_000);
-    }
-    opts.budget.apply(&mut lse);
-    lse.sim_options.scheduler = opts.scheduler;
-
-    let timings_name = if let Some(id) = opts.model {
-        let Some(model) = lss_models::model(id) else {
-            eprintln!("no such model `{id}` (expected A-F)");
-            return ExitCode::from(2);
-        };
-        lse.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        lse.add_source(&format!("model_{id}.lss"), model.source);
-        format!("model_{id}")
-    } else {
-        opts.files[0].clone()
-    };
-    for lib in &opts.libs {
-        match std::fs::read_to_string(lib) {
-            Ok(text) => lse.add_library(lib, &text),
-            Err(e) => {
-                eprintln!("cannot read {lib}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
+    driver.sim_options.scheduler = opts.scheduler;
+    let timings_name = opts
+        .model
+        .map_or_else(|| opts.files[0].clone(), |id| format!("model_{id}"));
     for file in &opts.files {
         // A target may be a plain file, a project root with imports, a
         // directory with an `lss.toml`, or the manifest itself.
-        if let Err(e) = lse.add_root_file(file) {
+        if let Err(e) = driver.add_root_file(file) {
             eprintln!("{e}");
             return ExitCode::from(1);
         }
@@ -1626,14 +1463,14 @@ fn real_main() -> ExitCode {
         }
     }
 
-    let compiled = match lse.compile() {
+    let compiled = match driver.elaborate() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
             return failure_exit(&e);
         }
     };
-    print_warnings(&lse);
+    print_warnings(&driver);
     eprintln!(
         "compiled: {} instances, {} connections, {} type constraints \
          ({} unification steps, {} branches)",
@@ -1686,7 +1523,7 @@ fn real_main() -> ExitCode {
     if opts.lint {
         // Same semantics as `lssc check --format text` with the default
         // configuration: denied findings make the exit code nonzero.
-        let analyzed = match lse.analyze(&AnalysisConfig::default()) {
+        let analyzed = match driver.analyze(&AnalysisConfig::default()) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("{e}");
@@ -1698,7 +1535,7 @@ fn real_main() -> ExitCode {
         } else {
             print!(
                 "{}",
-                to_text_located(&analyzed.analysis.findings, Some(lse.sources()))
+                to_text_located(&analyzed.analysis.findings, Some(driver.sources()))
             );
         }
         lint_denied = analyzed.analysis.denied;
@@ -1735,8 +1572,8 @@ fn real_main() -> ExitCode {
         let seeds: Vec<i64> = (0..lanes as i64).collect();
         let mut batch = match liberty::build_batch(
             &compiled.netlist,
-            lse.registry(),
-            lse.sim_options.clone(),
+            driver.registry(),
+            driver.sim_options.clone(),
             &seeds,
         ) {
             Ok(b) => b,
@@ -1760,7 +1597,7 @@ fn real_main() -> ExitCode {
             );
         }
     } else if let Some(cycles) = opts.run {
-        let mut sim = match lse.simulator(&compiled.netlist) {
+        let mut sim = match driver.simulator(&compiled.netlist) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("{e}");
@@ -1814,7 +1651,7 @@ fn real_main() -> ExitCode {
             timings_json(
                 &timings_name,
                 compiled.cache.name(),
-                lse.timings(),
+                driver.timings(),
                 &compiled.modules
             )
         );

@@ -355,6 +355,29 @@ fn cache_cold_misses_warm_hits_and_no_cache_bypasses() {
 }
 
 #[test]
+fn model_ids_are_case_insensitive_and_share_one_cache_entry() {
+    let cache = temp_cache("model-case");
+    let mut lines = Vec::new();
+    for id in ["a", "A"] {
+        let out = lssc()
+            .args(["--model", id, "--timings", "--cache-dir"])
+            .arg(&cache)
+            .output()
+            .expect("spawn lssc");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "--model {id} failed:\n{stdout}");
+        lines.push(stdout);
+    }
+    assert!(lines[0].contains("\"cache\": \"miss\""), "{}", lines[0]);
+    assert!(
+        lines[1].contains("\"file\": \"model_A\", \"cache\": \"hit\""),
+        "`--model A` must hit the entry `--model a` wrote:\n{}",
+        lines[1]
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
 fn truncated_cache_entry_triggers_rebuild_with_warning() {
     let model = write_model("cache-corrupt");
     let cache = temp_cache("corrupt");
@@ -772,6 +795,7 @@ fn exit_contract_usage_errors_are_exit_2() {
         &["--max-depth", "-3"][..],
         &["build", "--max-steps", "many"][..],
         &["check", "--max-instances"][..],
+        &["--model", "AB"][..],
     ] {
         let out = lssc().args(bad).output().expect("spawn lssc");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -3,9 +3,9 @@
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
 use lss_corelib::{corelib_source, registry};
-use lss_interp::{compile, CompileOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
 use lss_sim::{build, SimOptions, Simulator};
-use lss_types::Datum;
+use lss_types::{Datum, SolverConfig};
 
 fn sim_of(src: &str) -> Simulator {
     let corelib = corelib_source();
@@ -16,23 +16,22 @@ fn sim_of(src: &str) -> Simulator {
     let lib = parse(lib_file, corelib, &mut diags);
     let model = parse(model_file, src, &mut diags);
     assert!(!diags.has_errors(), "{}", diags.render(&sources));
-    let compiled = compile(
-        &[
-            Unit {
-                program: &lib,
-                library: true,
-            },
-            Unit {
-                program: &model,
-                library: false,
-            },
-        ],
-        &CompileOptions::default(),
-        &mut diags,
-    )
-    .unwrap_or_else(|| panic!("{}", diags.render(&sources)));
-    build(&compiled.netlist, &registry(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("build: {e}"))
+    let units = [
+        Unit {
+            program: &lib,
+            library: true,
+        },
+        Unit {
+            program: &model,
+            library: false,
+        },
+    ];
+    let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+        let mut netlist = out.netlist;
+        infer(&mut netlist, &SolverConfig::default(), &mut diags).map(|_| netlist)
+    });
+    let netlist = typed.unwrap_or_else(|| panic!("{}", diags.render(&sources)));
+    build(&netlist, &registry(), SimOptions::default()).unwrap_or_else(|e| panic!("build: {e}"))
 }
 
 #[test]

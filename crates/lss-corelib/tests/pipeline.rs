@@ -3,10 +3,10 @@
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
 use lss_corelib::{corelib_source, registry};
-use lss_interp::{compile, CompileOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
 use lss_netlist::Netlist;
 use lss_sim::{build, Scheduler, SimOptions, Simulator};
-use lss_types::Datum;
+use lss_types::{Datum, SolverConfig};
 
 fn compile_model(src: &str) -> Netlist {
     let corelib = corelib_source();
@@ -17,22 +17,21 @@ fn compile_model(src: &str) -> Netlist {
     let lib = parse(lib_file, corelib, &mut diags);
     let model = parse(model_file, src, &mut diags);
     assert!(!diags.has_errors(), "parse:\n{}", diags.render(&sources));
-    compile(
-        &[
-            Unit {
-                program: &lib,
-                library: true,
-            },
-            Unit {
-                program: &model,
-                library: false,
-            },
-        ],
-        &CompileOptions::default(),
-        &mut diags,
-    )
-    .unwrap_or_else(|| panic!("compile:\n{}", diags.render(&sources)))
-    .netlist
+    let units = [
+        Unit {
+            program: &lib,
+            library: true,
+        },
+        Unit {
+            program: &model,
+            library: false,
+        },
+    ];
+    let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+        let mut netlist = out.netlist;
+        infer(&mut netlist, &SolverConfig::default(), &mut diags).map(|_| netlist)
+    });
+    typed.unwrap_or_else(|| panic!("compile:\n{}", diags.render(&sources)))
 }
 
 fn simulator(src: &str, scheduler: Scheduler) -> Simulator {

@@ -2,7 +2,7 @@
 //!
 //! The cache key is an FNV-1a 64-bit hash over everything that determines
 //! the build output: a format tag, the binary netlist format version, the
-//! corelib revision, the `Debug` rendering of the session's
+//! corelib revision, every field of the session's
 //! [`CompileOptions`](lss_interp::CompileOptions), and every source unit
 //! (name, library flag, full text). A warm entry replays the stored
 //! netlist, solver statistics, and `print(...)` output without running
@@ -143,6 +143,30 @@ pub struct CachedUnit {
     pub deferred: Vec<DeferredConnection>,
     /// `print(...)` output from the module's elaboration.
     pub prints: Vec<String>,
+}
+
+/// Resolves a front end's cache flags to a directory, `None` meaning
+/// disabled: `no_cache` wins, then `explicit` (`--cache-dir`), then
+/// `$LSS_CACHE_DIR`, then `target/lss-cache`.
+///
+/// # Errors
+///
+/// An explicit path that exists and is not a directory: a mistyped
+/// `--cache-dir` fails loudly instead of silently missing on every build.
+pub fn resolve_dir(no_cache: bool, explicit: Option<PathBuf>) -> Result<Option<PathBuf>, String> {
+    if no_cache {
+        return Ok(None);
+    }
+    match explicit {
+        Some(dir) if dir.exists() && !dir.is_dir() => Err(format!(
+            "cache directory {} exists but is not a directory",
+            dir.display()
+        )),
+        Some(dir) => Ok(Some(dir)),
+        None => Ok(Some(
+            std::env::var_os("LSS_CACHE_DIR").map_or_else(|| "target/lss-cache".into(), Into::into),
+        )),
+    }
 }
 
 /// The on-disk location of the whole-build entry for `key`.

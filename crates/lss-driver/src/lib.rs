@@ -40,11 +40,13 @@
 pub mod cache;
 pub mod error;
 pub mod project;
+pub mod quota;
 pub mod timing;
 
 pub use cache::{CachedBuild, CachedUnit, DiskMemo, Fnv64};
 pub use error::{DriverError, Stage};
 pub use project::Manifest;
+pub use quota::Quota;
 pub use timing::StageTimings;
 
 use std::collections::HashMap;
@@ -511,6 +513,29 @@ impl Driver {
         self.budget = budget;
     }
 
+    /// Applies a front end's [`Quota`]: the fuel caps (steps, instances,
+    /// depth, solver steps, expansion) go into [`Driver::options`], and
+    /// the key-stable caps arm [`Driver::set_budget`] only when one is
+    /// set, so a session without caps keeps its unlimited budget. Call
+    /// after any replacement of `options.solver`, which would drop the
+    /// solver caps.
+    pub fn set_quota(&mut self, quota: &Quota) {
+        let CompileOptions { elab, solver } = &mut self.options;
+        elab.max_steps = quota.max_steps.unwrap_or(elab.max_steps);
+        elab.max_instances = quota
+            .max_instances
+            .map_or(elab.max_instances, |n| n as usize);
+        elab.max_depth = quota.max_depth.map_or(elab.max_depth, |n| n as usize);
+        solver.step_budget = quota.solver_steps.or(solver.step_budget);
+        solver.expansion_cap = quota
+            .expansion_cap
+            .map_or(solver.expansion_cap, |n| n as usize);
+        let caps = quota.budget_caps();
+        if caps != BudgetCaps::default() {
+            self.set_budget(caps);
+        }
+    }
+
     /// The session's shared budget handle (unlimited unless
     /// [`Driver::set_budget`] was called).
     pub fn budget(&self) -> &Budget {
@@ -875,15 +900,6 @@ impl Driver {
         });
         self.elaborated = Some(Arc::clone(&elaborated));
         Ok(elaborated)
-    }
-
-    /// Alias for [`Driver::elaborate`] mirroring the old facade verb.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Driver::elaborate`].
-    pub fn compile(&mut self) -> Result<Arc<Elaborated>, DriverError> {
-        self.elaborate()
     }
 
     /// Consumes the session and returns the elaborated artifact by value

@@ -12,14 +12,16 @@
 //! * [`elaborate`] — run a set of parsed programs to a
 //!   [`lss_netlist::Netlist`];
 //! * [`typeck::infer`] — resolve every port's basic type with the §5
-//!   inference engine;
-//! * [`compile`] — both steps in sequence.
+//!   inference engine.
+//!
+//! `lss_driver::Driver` runs both as stages of one compilation session.
 //!
 //! # Example
 //!
 //! ```
 //! use lss_ast::{parse, DiagnosticBag, SourceMap};
-//! use lss_interp::{compile, CompileOptions, Unit};
+//! use lss_interp::{elaborate, infer, ElabOptions, Unit};
+//! use lss_types::SolverConfig;
 //!
 //! let src = r#"
 //!     module delay {
@@ -37,13 +39,12 @@
 //! let file = sources.add_file("fig6.lss", src);
 //! let mut diags = DiagnosticBag::new();
 //! let program = parse(file, src, &mut diags);
-//! let compiled = compile(
-//!     &[Unit { program: &program, library: false }],
-//!     &CompileOptions::default(),
-//!     &mut diags,
-//! )
-//! .expect("compiles");
-//! assert_eq!(compiled.netlist.instances.len(), 2);
+//! let units = [Unit { program: &program, library: false }];
+//! let mut netlist = elaborate(&units, &ElabOptions::default(), &mut diags)
+//!     .expect("elaborates")
+//!     .netlist;
+//! infer(&mut netlist, &SolverConfig::default(), &mut diags).expect("types check");
+//! assert_eq!(netlist.instances.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -61,11 +62,9 @@ pub use eval::{elaborate, elaborate_scoped, ElabOptions, ElabOutput, Unit};
 pub use typeck::{infer, infer_with_memo};
 pub use value::Value;
 
-use lss_ast::DiagnosticBag;
-use lss_netlist::Netlist;
-use lss_types::{SolveStats, SolverConfig};
+use lss_types::SolverConfig;
 
-/// Options for [`compile`].
+/// Options for the elaborate and infer stages of a session.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     /// Elaboration limits.
@@ -82,36 +81,4 @@ impl CompileOptions {
         self.elab.budget = budget.clone();
         self.solver.budget = budget;
     }
-}
-
-/// A fully compiled model: elaborated netlist with inferred port types.
-#[derive(Debug)]
-pub struct Compiled {
-    /// The typed netlist.
-    pub netlist: Netlist,
-    /// Inference work counters.
-    pub solve_stats: SolveStats,
-    /// Elaboration trace (empty unless requested).
-    pub trace: Vec<String>,
-    /// `print(...)` output.
-    pub prints: Vec<String>,
-}
-
-/// Elaborates and type-checks `units`.
-///
-/// Returns `None` and fills `diags` on any error.
-pub fn compile(
-    units: &[Unit<'_>],
-    opts: &CompileOptions,
-    diags: &mut DiagnosticBag,
-) -> Option<Compiled> {
-    let out = elaborate(units, &opts.elab, diags)?;
-    let mut netlist = out.netlist;
-    let solve_stats = typeck::infer(&mut netlist, &opts.solver, diags)?;
-    Some(Compiled {
-        netlist,
-        solve_stats,
-        trace: out.trace,
-        prints: out.prints,
-    })
 }

@@ -3,7 +3,8 @@
 //! "encouraging construction and use" of components.
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
-use lss_interp::{compile, CompileOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
+use lss_types::SolverConfig;
 
 const LIB: &str = r#"
 module delay {
@@ -23,21 +24,21 @@ fn diag_of(src: &str) -> String {
     let lib = parse(lib_file, LIB, &mut diags);
     let model = parse(model_file, src, &mut diags);
     if !diags.has_errors() {
-        let result = compile(
-            &[
-                Unit {
-                    program: &lib,
-                    library: true,
-                },
-                Unit {
-                    program: &model,
-                    library: false,
-                },
-            ],
-            &CompileOptions::default(),
-            &mut diags,
-        );
-        assert!(result.is_none(), "expected a failure for:\n{src}");
+        let units = [
+            Unit {
+                program: &lib,
+                library: true,
+            },
+            Unit {
+                program: &model,
+                library: false,
+            },
+        ];
+        let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+            let mut netlist = out.netlist;
+            infer(&mut netlist, &SolverConfig::default(), &mut diags)
+        });
+        assert!(typed.is_none(), "expected a failure for:\n{src}");
     }
     diags.render(&sources)
 }

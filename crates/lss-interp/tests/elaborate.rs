@@ -1,9 +1,9 @@
 //! End-to-end elaboration tests reproducing the paper's figures.
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
-use lss_interp::{compile, elaborate, CompileOptions, ElabOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
 use lss_netlist::{InstanceKind, Netlist};
-use lss_types::Ty;
+use lss_types::{SolverConfig, Ty};
 
 /// The leaf modules the figures rely on.
 const CORE: &str = r#"
@@ -37,24 +37,21 @@ fn try_compile(src: &str) -> Result<Netlist, String> {
     if diags.has_errors() {
         return Err(diags.render(&sources));
     }
-    let compiled = compile(
-        &[
-            Unit {
-                program: &lib,
-                library: true,
-            },
-            Unit {
-                program: &user,
-                library: false,
-            },
-        ],
-        &CompileOptions::default(),
-        &mut diags,
-    );
-    match compiled {
-        Some(c) => Ok(c.netlist),
-        None => Err(diags.render(&sources)),
-    }
+    let units = [
+        Unit {
+            program: &lib,
+            library: true,
+        },
+        Unit {
+            program: &user,
+            library: false,
+        },
+    ];
+    let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+        let mut netlist = out.netlist;
+        infer(&mut netlist, &SolverConfig::default(), &mut diags).map(|_| netlist)
+    });
+    typed.ok_or_else(|| diags.render(&sources))
 }
 
 fn expect_error(src: &str, needle: &str) {

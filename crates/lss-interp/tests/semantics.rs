@@ -2,9 +2,9 @@
 //! functions, control flow, and less-traveled error paths.
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
-use lss_interp::{compile, elaborate, CompileOptions, ElabOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
 use lss_netlist::Netlist;
-use lss_types::{Datum, Ty};
+use lss_types::{Datum, SolverConfig, Ty};
 
 const LEAF: &str = r#"
 module wire1 {
@@ -37,22 +37,21 @@ fn try_compile(src: &str) -> Result<Netlist, String> {
     if diags.has_errors() {
         return Err(diags.render(&sources));
     }
-    compile(
-        &[
-            Unit {
-                program: &lib,
-                library: true,
-            },
-            Unit {
-                program: &user,
-                library: false,
-            },
-        ],
-        &CompileOptions::default(),
-        &mut diags,
-    )
-    .map(|c| c.netlist)
-    .ok_or_else(|| diags.render(&sources))
+    let units = [
+        Unit {
+            program: &lib,
+            library: true,
+        },
+        Unit {
+            program: &user,
+            library: false,
+        },
+    ];
+    let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+        let mut netlist = out.netlist;
+        infer(&mut netlist, &SolverConfig::default(), &mut diags).map(|_| netlist)
+    });
+    typed.ok_or_else(|| diags.render(&sources))
 }
 
 fn expect_error(src: &str, needle: &str) {

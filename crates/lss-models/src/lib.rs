@@ -14,6 +14,7 @@
 //! provides:
 //!
 //! * [`compile_model`] — corelib + cpu_lib + model → typed netlist;
+//! * [`add_model`] — the same sources added to a caller's session;
 //! * [`staticgen`] — generation of the "pre-LSS" static-structural
 //!   equivalent of a model (the §7 line-count experiment);
 //! * [`runner`] — run a compiled model to completion and report CPI and
@@ -94,6 +95,20 @@ pub fn model(id: char) -> Option<&'static Model> {
     models().iter().find(|m| m.id == id.to_ascii_uppercase())
 }
 
+/// Adds Table 3 model `id` (case-insensitive) to a session: `cpu_lib.lss`,
+/// then `model_{ID}.lss` named by the canonical uppercase id, so `a` and
+/// `A` are one session and one cache key.
+///
+/// # Errors
+///
+/// An id that names no model.
+pub fn add_model(driver: &mut Driver, id: char) -> Result<(), String> {
+    let model = model(id).ok_or_else(|| format!("no such model `{id}` (expected A-F)"))?;
+    driver.add_source("cpu_lib.lss", cpu_lib());
+    driver.add_source(&format!("model_{}.lss", model.id), model.source);
+    Ok(())
+}
+
 /// Compiles arbitrary model source against corelib + cpu_lib.
 ///
 /// # Errors
@@ -153,6 +168,18 @@ mod tests {
         assert_eq!(ids, vec!['A', 'B', 'C', 'D', 'E', 'F']);
         assert_eq!(model('c').unwrap().name, "simplescalar");
         assert!(model('z').is_none());
+    }
+
+    #[test]
+    fn add_model_names_the_source_by_the_canonical_id() {
+        let key = |id| {
+            let mut driver = Driver::with_corelib();
+            add_model(&mut driver, id).expect("model exists");
+            driver.cache_key()
+        };
+        assert_eq!(key('a'), key('A'));
+        let err = add_model(&mut Driver::new(), 'z').unwrap_err();
+        assert_eq!(err, "no such model `z` (expected A-F)");
     }
 
     #[test]

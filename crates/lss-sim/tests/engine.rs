@@ -2,13 +2,13 @@
 //! cycle-accurate behavior.
 
 use lss_ast::{parse, DiagnosticBag, SourceMap};
-use lss_interp::{compile, CompileOptions, Unit};
+use lss_interp::{elaborate, infer, ElabOptions, Unit};
 use lss_netlist::Netlist;
 use lss_sim::{
     build, BuildError, CompCtx, Component, ComponentRegistry, Scheduler, SimError, SimOptions,
     Simulator,
 };
-use lss_types::Datum;
+use lss_types::{Datum, SolverConfig};
 
 // ---- test behaviors --------------------------------------------------------
 
@@ -245,22 +245,21 @@ fn netlist_of(src: &str) -> Netlist {
     let lib = parse(lib_file, LIB, &mut diags);
     let model = parse(model_file, src, &mut diags);
     assert!(!diags.has_errors(), "{}", diags.render(&sources));
-    compile(
-        &[
-            Unit {
-                program: &lib,
-                library: true,
-            },
-            Unit {
-                program: &model,
-                library: false,
-            },
-        ],
-        &CompileOptions::default(),
-        &mut diags,
-    )
-    .unwrap_or_else(|| panic!("{}", diags.render(&sources)))
-    .netlist
+    let units = [
+        Unit {
+            program: &lib,
+            library: true,
+        },
+        Unit {
+            program: &model,
+            library: false,
+        },
+    ];
+    let typed = elaborate(&units, &ElabOptions::default(), &mut diags).and_then(|out| {
+        let mut netlist = out.netlist;
+        infer(&mut netlist, &SolverConfig::default(), &mut diags).map(|_| netlist)
+    });
+    typed.unwrap_or_else(|| panic!("{}", diags.render(&sources)))
 }
 
 fn sim_of(src: &str, scheduler: Scheduler) -> Simulator {

@@ -18,9 +18,9 @@
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
+pub use lss_driver::Quota;
 use lss_netlist::json::escape;
 use lss_netlist::jsonval::{parse_json, JsonValue};
-use lss_types::BudgetCaps;
 
 /// Hard cap on one frame's body, request or response. Large enough for
 /// any Table 3 model netlist, small enough that a hostile 4 GiB length
@@ -138,120 +138,37 @@ pub fn read_frame(
     Ok(body)
 }
 
-/// Per-request resource quota. Every field maps to one `LSS4xx`
-/// diagnostic (see docs/ROBUSTNESS.md); the daemon merges a request's
-/// quota with its own server-wide caps by taking the *tighter* limit, so
-/// a client can never ask for more than the operator allows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Quota {
-    /// Wall-clock budget in milliseconds (LSS401).
-    pub deadline_ms: Option<u64>,
-    /// Elaboration statement fuel (LSS402).
-    pub max_steps: Option<u64>,
-    /// Instance cap (LSS403).
-    pub max_instances: Option<u64>,
-    /// Module-instantiation depth cap (LSS404).
-    pub max_depth: Option<u32>,
-    /// Type-inference unification-step cap (LSS405).
-    pub solver_steps: Option<u64>,
-    /// Disjunct-combination cap per scheme (LSS406).
-    pub expansion_cap: Option<u64>,
-    /// Elaborated netlist size cap (LSS407).
-    pub max_netlist: Option<u64>,
-    /// Simulation cycle cap (LSS408).
-    pub max_cycles: Option<u64>,
+/// Parses a request's `quota` object.
+fn parse_quota(value: &JsonValue) -> Result<Quota, String> {
+    let mut quota = Quota::default();
+    let Some(members) = value.as_object() else {
+        return Err("quota must be an object".into());
+    };
+    for (key, v) in members {
+        let n = v
+            .as_i64()
+            .filter(|&n| n >= 0)
+            .ok_or_else(|| format!("quota field `{key}` must be a non-negative integer"))?;
+        let (_, limit) = quota
+            .limits_mut()
+            .into_iter()
+            .find(|(name, _)| name == key)
+            .ok_or_else(|| format!("unknown quota field `{key}`"))?;
+        *limit = Some(n as u64);
+    }
+    Ok(quota)
 }
 
-fn min_opt<T: Ord + Copy>(a: Option<T>, b: Option<T>) -> Option<T> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
-impl Quota {
-    /// The tighter of two quotas, field by field. Used to clamp a
-    /// request's asks under the server-wide caps.
-    pub fn clamp(self, server: Quota) -> Quota {
-        Quota {
-            deadline_ms: min_opt(self.deadline_ms, server.deadline_ms),
-            max_steps: min_opt(self.max_steps, server.max_steps),
-            max_instances: min_opt(self.max_instances, server.max_instances),
-            max_depth: min_opt(self.max_depth, server.max_depth),
-            solver_steps: min_opt(self.solver_steps, server.solver_steps),
-            expansion_cap: min_opt(self.expansion_cap, server.expansion_cap),
-            max_netlist: min_opt(self.max_netlist, server.max_netlist),
-            max_cycles: min_opt(self.max_cycles, server.max_cycles),
+/// Emits `quota` as a request's `quota` member (omitted when empty).
+fn render_quota(quota: &Quota, obj: &mut ObjBuilder) {
+    let mut members = ObjBuilder::new();
+    for (name, limit) in quota.limits() {
+        if let Some(n) = limit {
+            members.num(name, n);
         }
     }
-
-    /// The key-stable caps that arm the shared [`lss_types::Budget`]
-    /// handle (deadline, depth, netlist size, sim cycles). Fuel caps
-    /// (steps, solver, expansion) go into the stage options instead.
-    pub fn budget_caps(&self) -> BudgetCaps {
-        BudgetCaps {
-            deadline: self.deadline_ms.map(Duration::from_millis),
-            max_depth: self.max_depth,
-            max_netlist_items: self.max_netlist,
-            max_sim_cycles: self.max_cycles,
-        }
-    }
-
-    fn parse(value: &JsonValue) -> Result<Quota, String> {
-        let mut quota = Quota::default();
-        let Some(members) = value.as_object() else {
-            return Err("quota must be an object".into());
-        };
-        for (key, v) in members {
-            let n = v
-                .as_i64()
-                .filter(|&n| n >= 0)
-                .ok_or_else(|| format!("quota field `{key}` must be a non-negative integer"))?;
-            match key.as_str() {
-                "deadline_ms" => quota.deadline_ms = Some(n as u64),
-                "max_steps" => quota.max_steps = Some(n as u64),
-                "max_instances" => quota.max_instances = Some(n as u64),
-                "max_depth" => quota.max_depth = Some(n.min(u32::MAX as i64) as u32),
-                "solver_steps" => quota.solver_steps = Some(n as u64),
-                "expansion_cap" => quota.expansion_cap = Some(n as u64),
-                "max_netlist" => quota.max_netlist = Some(n as u64),
-                "max_cycles" => quota.max_cycles = Some(n as u64),
-                other => return Err(format!("unknown quota field `{other}`")),
-            }
-        }
-        Ok(quota)
-    }
-
-    fn render_into(&self, obj: &mut ObjBuilder) {
-        let mut quota = ObjBuilder::new();
-        if let Some(n) = self.deadline_ms {
-            quota.num("deadline_ms", n);
-        }
-        if let Some(n) = self.max_steps {
-            quota.num("max_steps", n);
-        }
-        if let Some(n) = self.max_instances {
-            quota.num("max_instances", n);
-        }
-        if let Some(n) = self.max_depth {
-            quota.num("max_depth", u64::from(n));
-        }
-        if let Some(n) = self.solver_steps {
-            quota.num("solver_steps", n);
-        }
-        if let Some(n) = self.expansion_cap {
-            quota.num("expansion_cap", n);
-        }
-        if let Some(n) = self.max_netlist {
-            quota.num("max_netlist", n);
-        }
-        if let Some(n) = self.max_cycles {
-            quota.num("max_cycles", n);
-        }
-        if !quota.is_empty() {
-            obj.raw("quota", &quota.finish());
-        }
+    if !members.is_empty() {
+        obj.raw("quota", &members.finish());
     }
 }
 
@@ -357,7 +274,7 @@ impl Request {
         if matches!(self.verb, Verb::Simulate | Verb::Difftest) {
             obj.num("cycles", self.cycles);
         }
-        self.quota.render_into(&mut obj);
+        render_quota(&self.quota, &mut obj);
         if let Some(fault) = &self.fault {
             obj.str("fault", fault);
         }
@@ -397,7 +314,7 @@ impl Request {
                 .ok_or("`cycles` must be a non-negative integer")? as u64;
         }
         if let Some(v) = value.get("quota") {
-            req.quota = Quota::parse(v)?;
+            req.quota = parse_quota(v)?;
         }
         if let Some(v) = value.get("fault") {
             req.fault = Some(v.as_str().ok_or("`fault` must be a string")?.to_string());
@@ -583,26 +500,5 @@ mod tests {
                 .unwrap_err()
                 .contains("warp")
         );
-    }
-
-    #[test]
-    fn quota_clamp_takes_the_tighter_limit() {
-        let client = Quota {
-            deadline_ms: Some(60_000),
-            max_cycles: Some(10),
-            ..Quota::default()
-        };
-        let server = Quota {
-            deadline_ms: Some(5_000),
-            max_netlist: Some(100_000),
-            ..Quota::default()
-        };
-        let merged = client.clamp(server);
-        assert_eq!(merged.deadline_ms, Some(5_000), "server cap wins");
-        assert_eq!(merged.max_cycles, Some(10), "client ask survives");
-        assert_eq!(merged.max_netlist, Some(100_000), "server default applies");
-        let caps = merged.budget_caps();
-        assert_eq!(caps.max_sim_cycles, Some(10));
-        assert_eq!(caps.max_netlist_items, Some(100_000));
     }
 }

@@ -503,38 +503,15 @@ fn stats_response(shared: &Shared) -> String {
 
 /// Builds the per-request compilation session: fresh driver, shared
 /// disk cache, clamped quota armed as stage options + budget handle.
-fn new_driver(request: &Request, shared: &Shared) -> Result<(Driver, Quota), String> {
-    let quota = request.quota.clamp(shared.cfg.quota);
+fn new_driver(request: &Request, shared: &Shared) -> Result<Driver, String> {
+    if request.model.is_none() && request.sources.is_empty() {
+        return Err("request needs `sources` or `model`".into());
+    }
     let mut driver = Driver::with_corelib();
     driver.set_cache_dir(shared.cfg.cache_dir.clone());
-    if let Some(n) = quota.max_steps {
-        driver.options.elab.max_steps = n;
-    }
-    if let Some(n) = quota.max_instances {
-        driver.options.elab.max_instances = n as usize;
-    }
-    if let Some(n) = quota.max_depth {
-        driver.options.elab.max_depth = n as usize;
-    }
-    if let Some(n) = quota.solver_steps {
-        driver.options.solver.step_budget = Some(n);
-    }
-    if let Some(n) = quota.expansion_cap {
-        driver.options.solver.expansion_cap = n as usize;
-    }
-    let caps = quota.budget_caps();
-    if caps != Default::default() {
-        driver.set_budget(caps);
-    }
+    driver.set_quota(&request.quota.clamp(shared.cfg.quota));
     if let Some(id) = request.model {
-        if lss_models::model(id).is_none() {
-            return Err(format!("no such model `{id}` (expected A-F)"));
-        }
-        driver.add_source("cpu_lib.lss", lss_models::cpu_lib());
-        driver.add_source(
-            &format!("model_{id}.lss"),
-            lss_models::model(id).expect("checked").source,
-        );
+        lss_models::add_model(&mut driver, id)?;
     }
     for (name, text) in &request.libs {
         driver.add_library(name, text);
@@ -542,10 +519,7 @@ fn new_driver(request: &Request, shared: &Shared) -> Result<(Driver, Quota), Str
     for (name, text) in &request.sources {
         driver.add_source(name, text);
     }
-    if request.model.is_none() && request.sources.is_empty() {
-        return Err("request needs `sources` or `model`".into());
-    }
-    Ok((driver, quota))
+    Ok(driver)
 }
 
 /// Compiles through the hot map: probe by cache key, else elaborate and
@@ -596,8 +570,8 @@ fn execute(request: &Request, shared: &Shared) -> String {
     if request.verb == Verb::Chaos {
         return execute_chaos(request, shared);
     }
-    let (mut driver, _quota) = match new_driver(request, shared) {
-        Ok(pair) => pair,
+    let mut driver = match new_driver(request, shared) {
+        Ok(driver) => driver,
         Err(e) => return response("bad-request").str("error", &e).finish(),
     };
     match request.verb {

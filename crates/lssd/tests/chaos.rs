@@ -187,6 +187,27 @@ fn simulate_and_check_serve_real_results() {
     assert_eq!(num_field(&checked, "errors"), 0, "{checked:?}");
 }
 
+#[test]
+fn model_ids_are_case_insensitive_and_share_one_hot_entry() {
+    let daemon = Daemon::start("model-case", |_| {});
+    let mut client = daemon.client();
+    let mut tiers = Vec::new();
+    for id in ['a', 'A'] {
+        let mut request = Request::new(Verb::Compile);
+        request.model = Some(id);
+        let value = client.request(&request).expect("compile");
+        assert_eq!(status(&value), "ok", "{value:?}");
+        tiers.push(str_field(&value, "cache").to_string());
+    }
+    assert_eq!(
+        tiers,
+        ["miss", "hot"],
+        "`A` must reuse the session `a` built"
+    );
+    let stats = client.request(&Request::new(Verb::Stats)).expect("stats");
+    assert_eq!(num_field(&stats, "hot_entries"), 1, "{stats:?}");
+}
+
 // ------------------------------------------------------------- hostile frames
 
 #[test]

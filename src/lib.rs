@@ -2,6 +2,6 @@
 //!
 //! This package exists to host workspace-level integration tests (`tests/`)
 //! and runnable examples (`examples/`). The actual library lives in the
-//! [`liberty`] facade crate and the `lss-*` crates it re-exports.
+//! [`liberty`] umbrella crate and the `lss-*` crates it re-exports.
 
 pub use liberty;
