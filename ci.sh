@@ -19,8 +19,8 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# Debug profile on purpose: lss-interp's popping_last_scope_panics relies
-# on a debug_assert that --release compiles out.
+# Debug profile: the tier-1 stage above already built release, and the
+# debug build keeps overflow checks and debug_asserts on for every crate.
 echo "==> workspace: cargo test --workspace -q"
 cargo test --workspace -q
 

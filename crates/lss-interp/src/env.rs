@@ -26,14 +26,15 @@ impl Env {
         self.scopes.push(HashMap::new());
     }
 
-    /// Pops the innermost scope. The outermost scope is never popped: an
-    /// unbalanced pop is a bug in the interpreter's push/pop pairing
-    /// (caught by `debug_assert` in tests), never a user-visible panic.
+    /// Pops the innermost scope.
+    ///
+    /// # Panics
+    ///
+    /// Popping the outermost scope. Every pop follows its own push, so an
+    /// unbalanced pop is a bug in the interpreter, never a user error.
     pub fn pop(&mut self) {
-        debug_assert!(self.scopes.len() > 1, "cannot pop the outermost scope");
-        if self.scopes.len() > 1 {
-            self.scopes.pop();
-        }
+        assert!(self.scopes.len() > 1, "cannot pop the outermost scope");
+        self.scopes.pop();
     }
 
     /// Declares `name` in the innermost scope (shadowing outer bindings).

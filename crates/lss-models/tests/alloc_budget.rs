@@ -1,0 +1,137 @@
+//! Allocation budget for stepping the Table 3 models.
+//!
+//! Instructions travel between components as shared struct datums, so
+//! sending, reading or buffering one is a reference-count bump. This test
+//! pins that: it steps each model to completion exactly as the benchmark's
+//! `sim_table3` workload does (build with `SimOptions::default()`, step
+//! until every fetched instruction has committed) and asserts a ceiling on
+//! heap allocations per simulated cycle.
+//!
+//! The counting allocator counts on the current thread only, so tests
+//! running in parallel do not disturb each other. Ceilings carry about 25%
+//! headroom over measured counts: the issue window's `HashMap` growth
+//! depends on the random hash seed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use lss_models::{compile_model, model};
+use lss_netlist::Netlist;
+use lss_sim::{SimOptions, Simulator};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// A run that has not committed its trace by now has hung.
+const MAX_CYCLES: u64 = 200_000;
+
+fn leaves_of(netlist: &Netlist, module: &str) -> Vec<String> {
+    let sym = netlist.sym(module);
+    netlist
+        .leaves()
+        .filter(|i| Some(i.module) == sym)
+        .map(|i| i.path.clone())
+        .collect()
+}
+
+fn committed(sim: &Simulator, commit: &[String]) -> i64 {
+    commit
+        .iter()
+        .map(|p| {
+            sim.rtv(p, "committed")
+                .and_then(|d| d.as_int())
+                .unwrap_or(0)
+        })
+        .sum()
+}
+
+/// Heap allocations per cycle while stepping model `id` to completion.
+fn allocs_per_cycle(id: char) -> f64 {
+    let netlist = compile_model(model(id).expect("Table 3 model"))
+        .expect("model compiles")
+        .netlist;
+    let commit = leaves_of(&netlist, "commit");
+    let fetch_sym = netlist.sym("fetch");
+    let target: i64 = netlist
+        .leaves()
+        .filter(|i| Some(i.module) == fetch_sym)
+        .filter_map(|i| i.params.get("n_instrs").and_then(|d| d.as_int()))
+        .sum();
+    assert!(!commit.is_empty() && target > 0, "model {id} has no trace");
+    let registry = lss_corelib::registry();
+    let mut sim = lss_sim::build(&netlist, &registry, SimOptions::default()).expect("builds");
+    let before = allocs();
+    loop {
+        sim.step()
+            .unwrap_or_else(|e| panic!("model {id} cycle {}: {e}", sim.cycle()));
+        if committed(&sim, &commit) >= target {
+            break;
+        }
+        assert!(sim.cycle() < MAX_CYCLES, "model {id} did not finish");
+    }
+    (allocs() - before) as f64 / sim.cycle() as f64
+}
+
+/// `(model, ceiling)`: allocations per cycle. Measured with shared
+/// records: A 7.58, B 2.24, C 1.37, D 6.00, E 13.30, F 1.28. When every
+/// hop deep-copied the record it was A 68.6, B 56.3, C 35.4, D 139.7,
+/// E 308.5, F 31.1; each ceiling is under a fifth of that.
+const BUDGET: [(char, f64); 6] = [
+    ('A', 9.5),
+    ('B', 2.8),
+    ('C', 1.7),
+    ('D', 7.5),
+    ('E', 16.6),
+    ('F', 1.6),
+];
+
+#[test]
+fn stepping_stays_within_the_allocation_budget() {
+    let mut over = Vec::new();
+    for (id, ceiling) in BUDGET {
+        let per_cycle = allocs_per_cycle(id);
+        eprintln!("model {id}: {per_cycle:.2} allocations per cycle (ceiling {ceiling})");
+        if per_cycle > ceiling {
+            over.push(format!("model {id}: {per_cycle:.2} > {ceiling}"));
+        }
+    }
+    assert!(over.is_empty(), "over budget: {}", over.join("; "));
+}

@@ -385,7 +385,7 @@ pub fn write_datum(w: &mut Writer, d: &Datum) {
         Datum::Struct(fields) => {
             w.put_u8(5);
             w.put_varint(fields.len() as u64);
-            for (name, v) in fields {
+            for (name, v) in fields.iter() {
                 w.put_str(name);
                 write_datum(w, v);
             }
@@ -413,9 +413,9 @@ pub fn read_datum(r: &mut Reader<'_>) -> Result<Datum, String> {
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.get_str()?;
-                fields.push((name, read_datum(r)?));
+                fields.push((name.into(), read_datum(r)?));
             }
-            Datum::Struct(fields)
+            Datum::Struct(fields.into())
         }
         other => return Err(format!("unknown datum tag {other}")),
     })
@@ -1125,6 +1125,28 @@ mod tests {
         // Protocol bindings survive structurally, not just textually.
         assert_eq!(back.instances[0].protocols, n.instances[0].protocols);
         assert_eq!(back.instances[1].protocols, n.instances[1].protocols);
+    }
+
+    #[test]
+    fn nested_record_datum_round_trips_with_pinned_bytes() {
+        // A struct inside an array inside a struct.
+        let d = Datum::record([
+            ("pc", Datum::Int(7)),
+            (
+                "lanes",
+                Datum::Array(vec![Datum::record([("ok", Datum::Bool(true))])]),
+            ),
+        ]);
+        let mut w = Writer::new();
+        write_datum(&mut w, &d);
+        let bytes = w.finish();
+        // Format 4: tag 5, field count, then (name, datum) pairs; tag 4,
+        // item count, items; ints are zigzag varints (7 -> 0x0e).
+        let pinned: &[u8] = b"\x05\x02\x02pc\x00\x0e\x05lanes\x04\x01\x05\x01\x02ok\x01\x01";
+        assert_eq!(bytes, pinned);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(read_datum(&mut r).unwrap(), d);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -490,8 +490,28 @@ mod tests {
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
         assert_eq!(datum_json(&Datum::Float(f64::NAN)), "{\"$f\":\"nan\"}");
         assert_eq!(
-            datum_json(&Datum::Struct(vec![("k".into(), Datum::Bool(true))])),
+            datum_json(&Datum::record([("k", Datum::Bool(true))])),
             "{\"k\":true}"
+        );
+    }
+
+    #[test]
+    fn record_json_and_display_are_pinned() {
+        let d = Datum::record([
+            ("pc", Datum::Int(7)),
+            (
+                "lanes",
+                Datum::Array(vec![Datum::record([("ok", Datum::Bool(true))])]),
+            ),
+            ("name", Datum::from("a\"b")),
+        ]);
+        assert_eq!(
+            datum_json(&d),
+            r#"{"pc":7,"lanes":[{"ok":true}],"name":"a\"b"}"#
+        );
+        assert_eq!(
+            d.to_string(),
+            r#"{pc: 7, lanes: [{ok: true}], name: "a\"b"}"#
         );
     }
 

@@ -139,7 +139,9 @@ pub fn exec(
 ) -> Result<Option<Datum>, SimError> {
     let mut interp = Interp {
         env,
-        locals: vec![HashMap::new()],
+        // The top-level scope is created by the first `var`, so a body
+        // that declares no locals allocates nothing here.
+        locals: Vec::new(),
         steps: 0,
         max_steps,
     };
@@ -247,6 +249,9 @@ impl Interp<'_, '_> {
                         .ok_or_else(|| SimError::new("BSL var needs an initializer"))?,
                     (None, None) => return self.err("BSL var needs a type or initializer"),
                 };
+                if self.locals.is_empty() {
+                    self.locals.push(HashMap::new());
+                }
                 self.locals
                     .last_mut()
                     .expect("at least one scope")
@@ -662,10 +667,7 @@ mod tests {
     fn struct_field_access_and_update() {
         let mut vars = SlotTable::from_pairs([(
             "pkt",
-            Datum::Struct(vec![
-                ("dest".into(), Datum::Int(3)),
-                ("data".into(), Datum::Int(9)),
-            ]),
+            Datum::record([("dest", Datum::Int(3)), ("data", Datum::Int(9))]),
         )]);
         let result = run("pkt.dest = pkt.dest + 1; return pkt.dest;", &[], &mut vars);
         assert_eq!(result, Some(Datum::Int(4)));

@@ -200,7 +200,7 @@ mod tests {
             "f",
             "out",
             0,
-            Datum::Struct(vec![("pc".into(), Datum::Int(3))]),
+            Datum::record([("pc", Datum::Int(3))]),
         )];
         let vcd = to_vcd(&log, "1ns");
         assert!(vcd.contains("b11 !"));

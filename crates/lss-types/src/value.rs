@@ -5,6 +5,7 @@
 //! grammar [`Ty`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ty::Ty;
 
@@ -21,8 +22,15 @@ pub enum Datum {
     Str(String),
     /// Fixed-length array.
     Array(Vec<Datum>),
-    /// Record value with named fields.
-    Struct(Vec<(String, Datum)>),
+    /// Record value with named fields, in declaration order.
+    ///
+    /// The record is shared: cloning a struct datum (sending it on a port,
+    /// reading it back, buffering it in a queue) bumps a reference count
+    /// instead of copying the fields, and field names are `Arc<str>`s that
+    /// producers can intern once. Mutation is copy-on-write through
+    /// [`Datum::field_mut`], so every holder keeps value semantics: writing a
+    /// field of one copy never changes another.
+    Struct(Arc<[(Arc<str>, Datum)]>),
 }
 
 impl Datum {
@@ -40,9 +48,12 @@ impl Datum {
                 let elem = items.first().map(Datum::ty).unwrap_or(Ty::Int);
                 Ty::Array(Box::new(elem), items.len())
             }
-            Datum::Struct(fields) => {
-                Ty::Struct(fields.iter().map(|(n, v)| (n.clone(), v.ty())).collect())
-            }
+            Datum::Struct(fields) => Ty::Struct(
+                fields
+                    .iter()
+                    .map(|(n, v)| (n.to_string(), v.ty()))
+                    .collect(),
+            ),
         }
     }
 
@@ -57,7 +68,7 @@ impl Datum {
             Ty::Struct(fields) => Datum::Struct(
                 fields
                     .iter()
-                    .map(|(n, t)| (n.clone(), Datum::default_for(t)))
+                    .map(|(n, t)| (Arc::from(n.as_str()), Datum::default_for(t)))
                     .collect(),
             ),
         }
@@ -78,10 +89,15 @@ impl Datum {
                     && fields
                         .iter()
                         .zip(tys)
-                        .all(|((fn_, fv), (tn, tt))| fn_ == tn && fv.conforms_to(tt))
+                        .all(|((fn_, fv), (tn, tt))| **fn_ == **tn && fv.conforms_to(tt))
             }
             _ => false,
         }
+    }
+
+    /// A record from `(name, value)` pairs, in declaration order.
+    pub fn record(fields: impl IntoIterator<Item = (impl Into<Arc<str>>, Datum)>) -> Datum {
+        Datum::Struct(fields.into_iter().map(|(n, v)| (n.into(), v)).collect())
     }
 
     /// Extracts an integer, if this is one.
@@ -119,15 +135,22 @@ impl Datum {
     /// Looks up a struct field by name.
     pub fn field(&self, name: &str) -> Option<&Datum> {
         match self {
-            Datum::Struct(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            Datum::Struct(fields) => fields.iter().find(|(n, _)| &**n == name).map(|(_, v)| v),
             _ => None,
         }
     }
 
     /// Mutable struct-field lookup by name.
+    ///
+    /// Copy-on-write: if the record is shared with other clones, this one
+    /// gets a private copy first, so the others keep their values. Looking
+    /// up a missing field copies nothing.
     pub fn field_mut(&mut self, name: &str) -> Option<&mut Datum> {
         match self {
-            Datum::Struct(fields) => fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v),
+            Datum::Struct(fields) => {
+                let i = fields.iter().position(|(n, _)| &**n == name)?;
+                Some(&mut Arc::make_mut(fields)[i].1)
+            }
             _ => None,
         }
     }
@@ -215,7 +238,7 @@ mod tests {
     fn conformance_is_strict() {
         assert!(!Datum::Int(1).conforms_to(&Ty::Float));
         assert!(!Datum::Array(vec![Datum::Int(1)]).conforms_to(&Ty::Array(Box::new(Ty::Int), 2)));
-        let v = Datum::Struct(vec![("x".into(), Datum::Int(1))]);
+        let v = Datum::record([("x", Datum::Int(1))]);
         assert!(!v.conforms_to(&Ty::record([("y", Ty::Int)])));
         assert!(v.conforms_to(&Ty::record([("x", Ty::Int)])));
     }
@@ -227,7 +250,7 @@ mod tests {
         assert_eq!(Datum::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Datum::from("hi").as_str(), Some("hi"));
         assert_eq!(Datum::Int(4).as_bool(), None);
-        let mut s = Datum::Struct(vec![("x".into(), Datum::Int(1))]);
+        let mut s = Datum::record([("x", Datum::Int(1))]);
         assert_eq!(s.field("x"), Some(&Datum::Int(1)));
         *s.field_mut("x").unwrap() = Datum::Int(9);
         assert_eq!(s.field("x"), Some(&Datum::Int(9)));
@@ -236,10 +259,34 @@ mod tests {
 
     #[test]
     fn display() {
-        let v = Datum::Struct(vec![
-            ("a".into(), Datum::Array(vec![Datum::Int(1), Datum::Int(2)])),
-            ("b".into(), Datum::from("x")),
+        let v = Datum::record([
+            ("a", Datum::Array(vec![Datum::Int(1), Datum::Int(2)])),
+            ("b", Datum::from("x")),
         ]);
         assert_eq!(v.to_string(), "{a: [1, 2], b: \"x\"}");
+    }
+
+    #[test]
+    fn field_mut_on_a_clone_leaves_the_original_untouched() {
+        let inner = Datum::record([("k", Datum::Int(1))]);
+        let original = Datum::record([("x", Datum::Int(1)), ("in", inner)]);
+        let mut copy = original.clone();
+        *copy.field_mut("x").unwrap() = Datum::Int(2);
+        *copy.field_mut("in").unwrap().field_mut("k").unwrap() = Datum::Int(3);
+        assert_eq!(original.to_string(), "{x: 1, in: {k: 1}}");
+        assert_eq!(copy.to_string(), "{x: 2, in: {k: 3}}");
+        // A sole owner writes in place; a missing field copies nothing.
+        let Datum::Struct(before) = &copy else {
+            unreachable!()
+        };
+        let before = Arc::as_ptr(before);
+        *copy.field_mut("x").unwrap() = Datum::Int(4);
+        let shared = copy.clone();
+        assert_eq!(copy.field_mut("nope"), None);
+        let (Datum::Struct(after), Datum::Struct(still)) = (&copy, &shared) else {
+            unreachable!()
+        };
+        assert_eq!(Arc::as_ptr(after), before);
+        assert!(Arc::ptr_eq(after, still));
     }
 }
