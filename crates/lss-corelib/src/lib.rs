@@ -31,7 +31,7 @@ pub mod behaviors {
 pub mod instr;
 pub mod registry;
 
-pub use instr::{instr_ty, Instr, Mix, OpClass, Workload, INSTR_TYPE_LSS};
+pub use instr::{instr_ty, Instr, InstrExt, Mix, OpClass, Workload, INSTR_TYPE_LSS};
 pub use registry::registry;
 
 /// Corelib revision, recorded in driver cache envelopes. The cache key

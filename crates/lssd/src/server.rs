@@ -7,7 +7,9 @@
 //! content-addressed disk cache from `lss-driver` (exactly-once publish,
 //! safe under concurrent sessions) and an in-process *hot* map from
 //! cache key to the elaborated artifact, so a warm compile never touches
-//! disk at all.
+//! disk at all. The hot map holds at most [`HOT_CAP`] entries and evicts
+//! the least recently used one, so a stream of distinct sources cannot
+//! grow the daemon without bound.
 //!
 //! Robustness invariants, each pinned by the chaos suite:
 //!
@@ -97,6 +99,8 @@ pub struct Counters {
     pub panics: AtomicU64,
     /// Compiles served from the in-process hot map.
     pub hot_hits: AtomicU64,
+    /// Hot-map entries evicted to stay within [`HOT_CAP`].
+    pub hot_evictions: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
 }
@@ -203,21 +207,77 @@ struct Shared {
     cfg: ServerConfig,
     gate: Gate,
     counters: Counters,
-    /// Cache key → elaborated artifact. Poison-tolerant: a panic while
-    /// holding the lock (chaos-injected or real) must not take the map
-    /// down with it.
-    hot: Mutex<HashMap<u64, Arc<Elaborated>>>,
+    /// Poison-tolerant: a panic while holding the lock (chaos-injected
+    /// or real) must not take the map down with it.
+    hot: Mutex<HotMap<Arc<Elaborated>>>,
     drain: AtomicBool,
     started: Instant,
 }
 
 impl Shared {
-    fn hot_lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<Elaborated>>> {
+    fn hot_lock(&self) -> MutexGuard<'_, HotMap<Arc<Elaborated>>> {
         self.hot.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn draining(&self) -> bool {
         self.drain.load(Ordering::SeqCst)
+    }
+}
+
+/// Hot-map capacity in entries; publishing beyond it evicts the least
+/// recently used entry.
+pub const HOT_CAP: usize = 256;
+
+/// Cache key → elaborated artifact, holding at most `cap` entries.
+struct HotMap<V> {
+    cap: usize,
+    /// Recency clock, bumped on every hit and publish.
+    clock: u64,
+    /// Each entry with the clock value of its last use.
+    entries: HashMap<u64, (V, u64)>,
+}
+
+impl<V: Clone> HotMap<V> {
+    fn new(cap: usize) -> HotMap<V> {
+        HotMap {
+            cap,
+            clock: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    fn get(&mut self, key: u64) -> Option<V> {
+        self.clock += 1;
+        let (value, used) = self.entries.get_mut(&key)?;
+        *used = self.clock;
+        Some(value.clone())
+    }
+
+    /// Publishes `value` unless `key` is already present (a racing
+    /// session published first). Returns whether the least recently used
+    /// entry was evicted to make room.
+    fn publish(&mut self, key: u64, value: &V) -> bool {
+        if self.entries.contains_key(&key) {
+            return false;
+        }
+        let evicted = self.entries.len() >= self.cap;
+        if evicted {
+            let oldest = self.entries.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some(oldest) = oldest.map(|(&k, _)| k) {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.clock += 1;
+        self.entries.insert(key, (value.clone(), self.clock));
+        evicted
     }
 }
 
@@ -310,7 +370,7 @@ impl Server {
             shared: Arc::new(Shared {
                 gate: Gate::new(cfg.workers, cfg.queue),
                 counters: Counters::default(),
-                hot: Mutex::new(HashMap::new()),
+                hot: Mutex::new(HotMap::new(HOT_CAP)),
                 drain: AtomicBool::new(false),
                 started: Instant::now(),
                 cfg,
@@ -483,6 +543,7 @@ fn stats_response(shared: &Shared) -> String {
     let gate = shared.gate.lock();
     let (active, queued) = (gate.active, gate.queued);
     drop(gate);
+
     let c = &shared.counters;
     response("ok")
         .num("uptime_ms", shared.started.elapsed().as_millis() as u64)
@@ -496,6 +557,7 @@ fn stats_response(shared: &Shared) -> String {
         .num("panics", c.panics.load(Ordering::Relaxed))
         .num("hot_hits", c.hot_hits.load(Ordering::Relaxed))
         .num("hot_entries", shared.hot_lock().len() as u64)
+        .num("hot_evictions", c.hot_evictions.load(Ordering::Relaxed))
         .num("connections", c.connections.load(Ordering::Relaxed))
         .bool("chaos", shared.cfg.chaos)
         .finish()
@@ -530,16 +592,19 @@ fn compile(
     shared: &Shared,
 ) -> Result<(Arc<Elaborated>, &'static str), DriverError> {
     let key = driver.cache_key();
-    if let Some(hot) = shared.hot_lock().get(&key).cloned() {
+    let hot = shared.hot_lock().get(key);
+    if let Some(hot) = hot {
         shared.counters.hot_hits.fetch_add(1, Ordering::Relaxed);
         return Ok((hot, "hot"));
     }
     let elaborated = driver.elaborate()?;
     let tier = elaborated.cache.name();
-    shared
-        .hot_lock()
-        .entry(key)
-        .or_insert_with(|| Arc::clone(&elaborated));
+    if shared.hot_lock().publish(key, &elaborated) {
+        shared
+            .counters
+            .hot_evictions
+            .fetch_add(1, Ordering::Relaxed);
+    }
     Ok((elaborated, tier))
 }
 
@@ -756,4 +821,26 @@ pub fn status_of(value: &JsonValue) -> &str {
 pub fn log_line(line: &str) {
     let mut err = std::io::stderr().lock();
     let _ = writeln!(err, "lssd: {line}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HotMap;
+
+    #[test]
+    fn hot_map_evicts_the_least_recently_used_entry() {
+        let mut hot = HotMap::new(2);
+        assert!(!hot.publish(1, &"a"));
+        assert!(!hot.publish(2, &"b"));
+        assert_eq!(hot.get(1), Some("a"));
+        assert!(hot.publish(3, &"c"), "a third key evicts");
+        assert_eq!(hot.get(2), None, "2 was used least recently");
+        assert_eq!((hot.get(1), hot.get(3)), (Some("a"), Some("c")));
+        assert!(
+            !hot.publish(3, &"other"),
+            "a racing publish keeps the first"
+        );
+        assert_eq!(hot.get(3), Some("c"));
+        assert_eq!(hot.len(), 2);
+    }
 }

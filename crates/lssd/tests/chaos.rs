@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use lss_netlist::jsonval::JsonValue;
-use lssd::server::DrainHandle;
+use lssd::server::{DrainHandle, HOT_CAP};
 use lssd::{Client, Endpoint, Quota, Request, Server, ServerConfig, Verb};
 
 const MODEL: &str =
@@ -206,6 +206,36 @@ fn model_ids_are_case_insensitive_and_share_one_hot_entry() {
     );
     let stats = client.request(&Request::new(Verb::Stats)).expect("stats");
     assert_eq!(num_field(&stats, "hot_entries"), 1, "{stats:?}");
+}
+
+#[test]
+fn hot_map_stays_within_its_cap() {
+    let daemon = Daemon::start("hot-cap", |_| {});
+    let mut client = daemon.client();
+    let mut compile = |n: usize| {
+        let mut request = Request::new(Verb::Compile);
+        let text = format!("{MODEL}\ngen.start = {n};");
+        request.sources.push(("m.lss".into(), text));
+        let value = client.request(&request).expect("compile");
+        assert_eq!(status(&value), "ok", "{value:?}");
+        str_field(&value, "cache").to_string()
+    };
+    for n in 0..=HOT_CAP {
+        assert_eq!(compile(n), "miss", "source {n}");
+    }
+    assert_eq!(compile(HOT_CAP), "hot");
+    assert_eq!(
+        compile(0),
+        "hit",
+        "source 0 was evicted from the hot map and re-read from disk"
+    );
+    let stats = client.request(&Request::new(Verb::Stats)).expect("stats");
+    assert_eq!(
+        num_field(&stats, "hot_entries"),
+        HOT_CAP as i64,
+        "{stats:?}"
+    );
+    assert_eq!(num_field(&stats, "hot_evictions"), 2, "{stats:?}");
 }
 
 // ------------------------------------------------------------- hostile frames
