@@ -46,6 +46,16 @@ for f in examples/lss/*.lss; do
     --format sarif --output "target/analysis/example_${name}.sarif"
 done
 
+echo "==> schedule: no fixpoint blocks on Table 3 models (port-level static schedule)"
+for m in A B C D E F; do
+  stats="$(./target/release/lssc --model "$m" --run 100 --stats --no-cache)"
+  if ! grep -q ' 0 combinational cycle blocks' <<<"${stats}"; then
+    echo "schedule: model ${m} kept a fixpoint block:" >&2
+    grep '^schedule:' <<<"${stats}" >&2
+    exit 1
+  fi
+done
+
 echo "==> protocol: composition checks clean over Table 3 models and examples"
 for m in A B C D E F; do
   ./target/release/lssc check --model "$m" --deny LSS105 --deny LSS107

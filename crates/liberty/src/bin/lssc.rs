@@ -146,10 +146,12 @@ fn print_sim_stats(stats: &liberty::SimStats, sim: Option<&liberty::Simulator>) 
     if let Some(sim) = sim {
         let schedule = sim.static_schedule();
         println!(
-            "schedule: {} components in {} topo levels, {} combinational cycle blocks",
+            "schedule: {} components in {} topo levels, {} combinational cycle blocks, \
+             {} straight-line blocks",
             schedule.len(),
             schedule.steps.len(),
-            schedule.cycle_blocks()
+            schedule.cycle_blocks(),
+            schedule.straight_line_blocks()
         );
         let (kernels, leaves) = (sim.kernel_count(), sim.component_count());
         println!(

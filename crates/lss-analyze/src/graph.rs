@@ -20,9 +20,17 @@
 //!   whose `eval` value actually reads it. Behaviors with independent port
 //!   paths (a credit output computed from buffer occupancy alone, a cache
 //!   `lower_req` that does not read `lower_resp`) break apparent loops
-//!   here: a credit handshake is a leaf-level cycle — the scheduler
-//!   iterates it to a fixpoint — but only a *port-level* cycle is a true
-//!   unbroken zero-delay loop, which is what `LSS101` reports.
+//!   here: a credit handshake is a leaf-level cycle but not a port-level
+//!   one. Only a *port-level* cycle is a true unbroken zero-delay loop,
+//!   which is what `LSS101` reports.
+//!
+//! A leaf-level cycle that is acyclic at port level needs no fixpoint:
+//! [`LeafDepGraph::straight_line_order`] turns it into a fixed sequence of
+//! evaluations, re-running a component only once an in-block input it
+//! reads has become final (a decode ↔ fetch-queue credit handshake runs as
+//! `[decode, queue, decode]`). It uses the same port condensation as
+//! `LSS101`, so a block stays a fixpoint exactly when `lssc check` reports
+//! it.
 //!
 //! Which inputs are combinational and which output→input pairs are
 //! independent comes from the behavior registry via [`CombInfo`]; without
@@ -157,11 +165,12 @@ impl DepGraph {
             Enter(usize),
             Resume(usize, usize),
         }
+        let mut work = Vec::new();
         for start in 0..n {
             if index[start] != usize::MAX {
                 continue;
             }
-            let mut work = vec![Frame::Enter(start)];
+            work.push(Frame::Enter(start));
             while let Some(frame) = work.pop() {
                 match frame {
                     Frame::Enter(v) => {
@@ -311,6 +320,8 @@ pub struct LeafDepGraph {
     /// Port-node id of leaf `i`'s first port; one extra terminal entry, so
     /// leaf `i` owns nodes `port_base[i]..port_base[i + 1]`.
     port_base: Vec<usize>,
+    /// Per port node: true for an output port.
+    port_out: Vec<bool>,
     /// One representative combinational wire per leaf-level edge.
     edge_wire: BTreeMap<(usize, usize), Wire>,
     /// The wire realizing each port-level wire edge (internal
@@ -347,6 +358,106 @@ impl LeafDepGraph {
     pub fn port_wire(&self, a: usize, b: usize) -> Option<&Wire> {
         self.port_edge_wire.get(&(a, b))
     }
+
+    /// The straight-line evaluation order of a leaf-level SCC, or `None`
+    /// when the SCC contains a port-level cycle — exactly the cycles
+    /// `LSS101` reports.
+    ///
+    /// `ports` must be the condensation of [`LeafDepGraph::ports`] and
+    /// `scc` one SCC of [`LeafDepGraph::graph`]'s condensation (sorted
+    /// leaf indices). A port is *final* once its value can no longer
+    /// change this cycle:
+    ///
+    /// * an input is final once every in-block output driving it is
+    ///   (inputs driven only from outside the block are final from the
+    ///   start);
+    /// * an output is final after an eval of its component that saw every
+    ///   input the output reads final, so an output with no in-block
+    ///   inputs is final after its component's first eval.
+    ///
+    /// The order repeatedly appends the first member, in leaf order, that
+    /// is worth evaluating: it has not run since an in-block input it reads
+    /// became final (or has not run at all), and the eval either finalizes
+    /// an output another member reads or sees all its in-block inputs
+    /// final. So every member's last eval sees final inputs, and a member
+    /// is re-evaluated only after an in-block output it reads has become
+    /// final. A credit handshake `decode ↔ queue` gives
+    /// `[decode, queue, decode]`.
+    pub fn straight_line_order(&self, ports: &Condensation, scc: &[usize]) -> Option<Vec<usize>> {
+        // Block-local port numbering: `nodes` is sorted because `scc` is.
+        let nodes: Vec<usize> = scc
+            .iter()
+            .flat_map(|&l| self.port_base[l]..self.port_base[l + 1])
+            .collect();
+        if nodes.iter().any(|&n| ports.cyclic[ports.comp_of[n]]) {
+            return None;
+        }
+        let mut range = Vec::with_capacity(scc.len());
+        let mut start = 0;
+        for &l in scc {
+            let len = self.port_base[l + 1] - self.port_base[l];
+            range.push(start..start + len);
+            start += len;
+        }
+        let mut owner = vec![0usize; nodes.len()];
+        for (k, r) in range.iter().enumerate() {
+            owner[r.clone()].fill(k);
+        }
+        // In-block port edges: wires between members, and each member's
+        // internal input → output edges.
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        for (a, &n) in nodes.iter().enumerate() {
+            for &m in self.ports.successors(n) {
+                if let Ok(b) = nodes.binary_search(&m) {
+                    preds[b].push(a);
+                    succs[a].push(b);
+                }
+            }
+        }
+        let out = |a: usize| self.port_out[nodes[a]];
+        let mut is_final: Vec<bool> = (0..nodes.len())
+            .map(|a| !out(a) && preds[a].is_empty())
+            .collect();
+        let mut stale = vec![true; scc.len()];
+        let mut order = Vec::new();
+        loop {
+            let worth = |k: usize| {
+                let mut inputs_final = true;
+                let mut unlocks = false;
+                for a in range[k].clone() {
+                    if !out(a) {
+                        inputs_final &= is_final[a];
+                    } else if !is_final[a]
+                        && !succs[a].is_empty()
+                        && preds[a].iter().all(|&p| is_final[p])
+                    {
+                        unlocks = true;
+                    }
+                }
+                inputs_final || unlocks
+            };
+            let Some(k) = (0..scc.len()).find(|&k| stale[k] && worth(k)) else {
+                break;
+            };
+            order.push(scc[k]);
+            stale[k] = false;
+            for a in range[k].clone() {
+                if !out(a) || is_final[a] || !preds[a].iter().all(|&p| is_final[p]) {
+                    continue;
+                }
+                is_final[a] = true;
+                for &b in &succs[a] {
+                    if !is_final[b] && preds[b].iter().all(|&p| is_final[p]) {
+                        is_final[b] = true;
+                        stale[owner[b]] = true;
+                    }
+                }
+            }
+        }
+        debug_assert!(is_final.iter().all(|&f| f), "acyclic blocks settle");
+        Some(order)
+    }
 }
 
 /// Builds the zero-delay dependency graphs from flattened wires and
@@ -363,11 +474,12 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
     let index_of: HashMap<InstanceId, usize> =
         leaves.iter().enumerate().map(|(i, &id)| (id, i)).collect();
     let mut port_base = Vec::with_capacity(leaves.len() + 1);
-    let mut total_ports = 0usize;
+    let mut port_out = Vec::new();
     for &id in &leaves {
-        port_base.push(total_ports);
-        total_ports += netlist.instance(id).ports.len();
+        port_base.push(port_out.len());
+        port_out.extend(netlist.instance(id).ports.iter().map(|p| p.dir == Dir::Out));
     }
+    let total_ports = port_out.len();
     port_base.push(total_ports);
 
     let mut graph = DepGraph::new(leaves.len());
@@ -421,6 +533,7 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
         ports,
         index_of,
         port_base,
+        port_out,
         edge_wire,
         port_edge_wire,
     }
@@ -429,6 +542,188 @@ pub fn leaf_dep_graph(netlist: &Netlist, wires: &[Wire], comb: &CombInfo) -> Lea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lss_netlist::{Connection, Endpoint, Instance, InstanceKind, Port};
+
+    /// Adds a leaf with `(name, dir)` ports; port `i` is `PortId(i)`.
+    fn leaf(n: &mut Netlist, path: &str, ports: &[(&str, Dir)]) -> InstanceId {
+        let module = n.intern(path);
+        let ports = ports
+            .iter()
+            .map(|&(name, dir)| {
+                let var = n.vars.fresh(format!("{path}.{name}"));
+                Port {
+                    name: n.intern(name),
+                    dir,
+                    scheme: lss_types::Scheme::Var(var),
+                    var,
+                    width: 1,
+                    ty: None,
+                    explicit: false,
+                }
+            })
+            .collect();
+        n.add_instance(Instance {
+            id: InstanceId(0),
+            path: path.to_string(),
+            module,
+            kind: InstanceKind::Leaf {
+                tar_file: format!("test/{path}.tar"),
+            },
+            parent: None,
+            from_library: true,
+            params: BTreeMap::new(),
+            ports,
+            userpoints: Vec::new(),
+            runtime_vars: Vec::new(),
+            events: Vec::new(),
+            protocols: Vec::new(),
+        })
+    }
+
+    /// Wires `src` output port lane to `dst` input port lane.
+    fn wire(n: &mut Netlist, src: (InstanceId, u32, u32), dst: (InstanceId, u32, u32)) {
+        let ep = |(inst, port, index): (InstanceId, u32, u32)| Endpoint {
+            inst,
+            port: PortId(port),
+            index,
+        };
+        n.connections.push(Connection {
+            src: ep(src),
+            dst: ep(dst),
+        });
+    }
+
+    /// The straight-line order of every leaf-level cycle, as instance
+    /// paths (`None` for a block that keeps a port-level cycle).
+    fn sequences(n: &Netlist, comb: &CombInfo) -> Vec<Option<Vec<String>>> {
+        let deps = leaf_dep_graph(n, &n.flatten(), comb);
+        let ports = deps.ports.condense();
+        deps.graph
+            .condense()
+            .cycles()
+            .map(|scc| {
+                deps.straight_line_order(&ports, scc).map(|order| {
+                    order
+                        .iter()
+                        .map(|&l| n.instance(deps.leaves[l]).path.clone())
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    fn paths(v: &[&str]) -> Option<Vec<String>> {
+        Some(v.iter().map(|s| s.to_string()).collect())
+    }
+
+    /// A cache's port contract: `lower_req` reads only `req`.
+    fn cache(n: &mut Netlist, comb: &mut CombInfo, path: &str) -> InstanceId {
+        let c = leaf(
+            n,
+            path,
+            &[
+                ("req", Dir::In),
+                ("resp", Dir::Out),
+                ("lower_req", Dir::Out),
+                ("lower_resp", Dir::In),
+            ],
+        );
+        comb.set_independent(c, PortId(2), PortId(3));
+        c
+    }
+
+    fn memory(n: &mut Netlist, path: &str) -> InstanceId {
+        leaf(n, path, &[("req", Dir::In), ("resp", Dir::Out)])
+    }
+
+    #[test]
+    fn credit_handshake_runs_decode_queue_decode() {
+        // Queue first in leaf order: the order follows finality, not
+        // numbering. The queue's `out` reads `credit_in`, its `credit` is
+        // pure state and `in` is registered; decode forwards `in` to `out`
+        // and `credit_in` to `credit`.
+        let mut n = Netlist::new();
+        let mut comb = CombInfo::all_combinational();
+        let fq = leaf(
+            &mut n,
+            "fq",
+            &[
+                ("in", Dir::In),
+                ("out", Dir::Out),
+                ("credit", Dir::Out),
+                ("credit_in", Dir::In),
+            ],
+        );
+        comb.set_non_combinational(fq, PortId(0));
+        comb.set_independent(fq, PortId(2), PortId(3));
+        let dec = leaf(
+            &mut n,
+            "dec",
+            &[
+                ("in", Dir::In),
+                ("out", Dir::Out),
+                ("credit_in", Dir::In),
+                ("credit", Dir::Out),
+            ],
+        );
+        comb.set_independent(dec, PortId(1), PortId(2));
+        comb.set_independent(dec, PortId(3), PortId(0));
+        wire(&mut n, (fq, 1, 0), (dec, 0, 0));
+        wire(&mut n, (dec, 3, 0), (fq, 3, 0));
+        assert_eq!(sequences(&n, &comb), vec![paths(&["dec", "fq", "dec"])]);
+    }
+
+    #[test]
+    fn cache_over_memory_runs_l1_memory_l1() {
+        let mut n = Netlist::new();
+        let mut comb = CombInfo::all_combinational();
+        let mm = memory(&mut n, "mm");
+        let l1 = cache(&mut n, &mut comb, "l1");
+        wire(&mut n, (l1, 2, 0), (mm, 0, 0));
+        wire(&mut n, (mm, 1, 0), (l1, 3, 0));
+        assert_eq!(sequences(&n, &comb), vec![paths(&["l1", "mm", "l1"])]);
+    }
+
+    #[test]
+    fn shared_hierarchy_runs_each_cache_twice_and_each_bank_once() {
+        // Model E's 7-wide block: two L1s share an L2 over four banks.
+        let mut n = Netlist::new();
+        let mut comb = CombInfo::all_combinational();
+        let l1a = cache(&mut n, &mut comb, "l1a");
+        let l1b = cache(&mut n, &mut comb, "l1b");
+        let l2 = cache(&mut n, &mut comb, "l2");
+        for (lane, l1) in [l1a, l1b].into_iter().enumerate() {
+            wire(&mut n, (l1, 2, 0), (l2, 0, lane as u32));
+            wire(&mut n, (l2, 1, lane as u32), (l1, 3, 0));
+        }
+        for i in 0..4 {
+            let bank = memory(&mut n, &format!("b{i}"));
+            wire(&mut n, (l2, 2, i), (bank, 0, 0));
+            wire(&mut n, (bank, 1, 0), (l2, 3, i));
+        }
+        assert_eq!(
+            sequences(&n, &comb),
+            vec![paths(&[
+                "l1a", "l1b", "l2", "b0", "b1", "b2", "b3", "l2", "l1a", "l1b"
+            ])]
+        );
+    }
+
+    #[test]
+    fn port_level_cycle_has_no_straight_line_order() {
+        // Two pass-throughs head to tail: the same loop LSS101 reports.
+        let mut n = Netlist::new();
+        let a = leaf(&mut n, "a", &[("in", Dir::In), ("out", Dir::Out)]);
+        let b = leaf(&mut n, "b", &[("in", Dir::In), ("out", Dir::Out)]);
+        wire(&mut n, (a, 1, 0), (b, 0, 0));
+        wire(&mut n, (b, 1, 0), (a, 0, 0));
+        let comb = CombInfo::all_combinational();
+        assert_eq!(sequences(&n, &comb), vec![None]);
+        // Declaring b's `out` independent of its `in` breaks the loop.
+        let mut comb = CombInfo::all_combinational();
+        comb.set_independent(b, PortId(1), PortId(0));
+        assert_eq!(sequences(&n, &comb), vec![paths(&["b", "a", "b"])]);
+    }
 
     fn topo_order(c: &Condensation) -> Vec<usize> {
         c.sccs.iter().flatten().copied().collect()

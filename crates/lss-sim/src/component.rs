@@ -372,6 +372,15 @@ pub trait Component {
     /// the static analyzer's port-granularity cycle detector uses it to
     /// tell a convergent credit handshake from a genuinely unbroken
     /// zero-delay loop.
+    ///
+    /// The static scheduler trusts it too, not only `LSS101`: a leaf-level
+    /// cycle that is acyclic at port level runs as a fixed straight-line
+    /// sequence, and an output declared independent of an input counts as
+    /// final before that input is. A false `false` therefore gives wrong
+    /// values, not just a missed diagnostic — readers may run once on a
+    /// value the output later changes. The dynamic scheduler and the
+    /// reference simulator ignore the contract, so `lssc difftest` catches
+    /// such a lie; when in doubt, keep the default.
     fn output_depends_on(&self, _output: usize, input: usize) -> bool {
         self.input_is_combinational(input)
     }
@@ -385,7 +394,8 @@ pub trait Component {
     /// equivalence suite and the differential fuzzer pin the two
     /// implementations against each other. `None` (the default) keeps the
     /// instance on the dyn path; the engine also declines lowerings for
-    /// instances inside combinational cycles or carrying userpoints.
+    /// instances carrying userpoints, inside fixpoint blocks, or evaluated
+    /// more than once by a straight-line block.
     fn kernel_class(&self) -> Option<KernelClass> {
         None
     }

@@ -7,8 +7,11 @@
 //!    outputs from this cycle's inputs and current state. The *static*
 //!    scheduler runs the analyzer's condensation stage by stage: lowered
 //!    kernels with barrier-committed writes, then the stage's remaining
-//!    components once each (iterating genuine combinational cycles to a
-//!    fixpoint); the *dynamic* scheduler is the SystemC-style baseline that
+//!    components once each. A leaf-level cycle that is acyclic at port
+//!    level runs inline as the analyzer's straight-line sequence (a repeat
+//!    eval retracts the lanes it did not write, with no snapshot or
+//!    compare); only a genuine port-level cycle is iterated to a fixpoint.
+//!    The *dynamic* scheduler is the SystemC-style baseline that
 //!    re-evaluates components from a worklist until no output changes.
 //! 2. **`end_of_timestep`** — synchronous state update, plus the
 //!    system-defined `end_of_timestep` userpoint on every instance (§4.3).
@@ -61,7 +64,7 @@ use crate::exec::{
     commit_stage, eval_stage, BatchSim, CompiledPlan, KernelMutation, SerialStep, StageInfo,
 };
 use crate::kernel::{lower, KernelUnit};
-use crate::sched::Schedule;
+use crate::sched::{Schedule, ScheduleStep};
 use crate::slots::SlotTable;
 
 /// Which combinational scheduler to use.
@@ -135,11 +138,11 @@ impl Default for SimOptions {
 pub struct SimStats {
     /// Cycles executed (incremented once per completed [`Simulator::step`]).
     pub cycles: u64,
-    /// Total component `eval` invocations. This is the static-vs-dynamic
-    /// scheduler comparison metric: the static schedule evaluates each
-    /// component once per cycle (plus fixpoint iterations inside genuine
-    /// combinational cycles), while the dynamic baseline re-evaluates from
-    /// a worklist until quiescence.
+    /// Total component `eval` invocations, kernels included. This is the
+    /// static-vs-dynamic scheduler comparison metric: the static schedule
+    /// evaluates each component once per cycle, plus the repeat entries of
+    /// straight-line blocks and the iterations of fixpoint blocks, while
+    /// the dynamic baseline re-evaluates from a worklist until quiescence.
     pub comp_evals: u64,
     /// Collector invocations: one per (event, listening collector) pair.
     pub events_dispatched: u64,
@@ -720,7 +723,9 @@ pub fn build(
 
     // Static schedule: ask the behaviors which inputs their eval reads,
     // then execute the analyzer's dependency-graph condensation — the same
-    // graph `lssc check`'s cycle detector reports on, built once here.
+    // graph `lssc check`'s cycle detector reports on, built once here. A
+    // leaf-level cycle runs as the analyzer's straight-line sequence unless
+    // it holds a port-level cycle (`LSS101`), which stays a fixpoint.
     let mut comb = CombInfo::all_combinational();
     for (c, &id) in leaf_ids.iter().enumerate() {
         fill_comb_info(&mut comb, netlist.instance(id), comps[c].as_ref());
@@ -728,54 +733,79 @@ pub fn build(
     let deps = leaf_dep_graph(netlist, &wires, &comb);
     debug_assert_eq!(deps.leaves, leaf_ids, "analyzer and engine leaf order");
     let cond = deps.graph.condense();
-    let static_schedule = Schedule::from_condensation(&cond);
+    let ports = (cond.cycle_count() > 0).then(|| deps.ports.condense());
+    let static_schedule = Schedule::from_condensation(&cond, |scc| {
+        deps.straight_line_order(ports.as_ref().expect("condensed"), scc)
+    });
 
     // Static plan: group the condensation's SCCs into dependency stages
     // (mutually independent units per stage) and lower each acyclic
-    // singleton whose behavior describes a kernel. Everything else — dyn
-    // behaviors, fixpoint blocks, instances with userpoints — stays on the
-    // serial interpreter path inside its stage. Type checking lives on the
-    // dyn write path, so `check_types` disables lowering wholesale.
+    // singleton whose behavior describes a kernel into the stage's kernel
+    // window. A straight-line block expands inline into the stage's serial
+    // steps; a member it evaluates once is lowered in place. Everything
+    // else — dyn behaviors, repeat evals, fixpoint blocks, instances with
+    // userpoints — stays on the serial interpreter path. Type checking
+    // lives on the dyn write path, so `check_types` disables lowering
+    // wholesale.
     let mut plan = CompiledPlan::default();
     let mut kernels: Vec<KernelUnit> = Vec::new();
     let mut kernel_of: Vec<Option<usize>> = vec![None; n];
     if opts.scheduler == Scheduler::Static {
+        let mut lower_leaf = |c: usize| -> Option<KernelUnit> {
+            if opts.check_types || !states[c].userpoints.is_empty() {
+                return None;
+            }
+            let class = comps[c].kernel_class()?;
+            lower(c, &class, &out_slots[c], &in_slots[c], &mut states[c].rtvs)
+        };
         for stage_sccs in cond.stages(&deps.graph) {
             let kstart = kernels.len();
+            let mut serial = Vec::new();
+            for si in stage_sccs {
+                match &static_schedule.steps[si] {
+                    ScheduleStep::Single(c) => match lower_leaf(*c) {
+                        Some(unit) => {
+                            kernel_of[unit.comp] = Some(kernels.len());
+                            kernels.push(unit);
+                        }
+                        None => serial.push(si),
+                    },
+                    _ => serial.push(si),
+                }
+            }
+            let klen = kernels.len() - kstart;
             let sstart = plan.serial_steps.len();
-            for &si in &stage_sccs {
-                let scc = &cond.sccs[si];
-                let cyclic = cond.cyclic[si];
-                let lowered = if !cyclic && scc.len() == 1 && !opts.check_types {
-                    let c = scc[0];
-                    if states[c].userpoints.is_empty() {
-                        comps[c].kernel_class().and_then(|class| {
-                            lower(c, &class, &out_slots[c], &in_slots[c], &mut states[c].rtvs)
-                        })
-                    } else {
-                        None
+            for si in serial {
+                match &static_schedule.steps[si] {
+                    ScheduleStep::Single(c) => plan.serial_steps.push(SerialStep::Once(*c)),
+                    ScheduleStep::Sequence(order) => {
+                        for (j, &c) in order.iter().enumerate() {
+                            let step = if order[..j].contains(&c) {
+                                SerialStep::Repeat(c)
+                            } else if order[j + 1..].contains(&c) {
+                                SerialStep::Once(c)
+                            } else if let Some(unit) = lower_leaf(c) {
+                                kernel_of[c] = Some(kernels.len());
+                                kernels.push(unit);
+                                SerialStep::Kernel(kernels.len() - 1)
+                            } else {
+                                SerialStep::Once(c)
+                            };
+                            plan.serial_steps.push(step);
+                        }
                     }
-                } else {
-                    None
-                };
-                match lowered {
-                    Some(unit) => {
-                        kernel_of[unit.comp] = Some(kernels.len());
-                        kernels.push(unit);
-                    }
-                    None => {
-                        plan.serial_steps.push(SerialStep {
-                            start: plan.serial_order.len(),
-                            len: scc.len(),
-                            fixpoint: cyclic,
+                    ScheduleStep::Fixpoint(members) => {
+                        plan.serial_steps.push(SerialStep::Fixpoint {
+                            start: plan.fixpoint_order.len(),
+                            len: members.len(),
                         });
-                        plan.serial_order.extend_from_slice(scc);
+                        plan.fixpoint_order.extend_from_slice(members);
                     }
                 }
             }
             plan.stages.push(StageInfo {
                 kstart,
-                klen: kernels.len() - kstart,
+                klen,
                 sstart,
                 slen: plan.serial_steps.len() - sstart,
             });
@@ -1039,14 +1069,9 @@ impl Simulator {
         result
     }
 
+    /// Evaluates a component and reports whether any output lane changed
+    /// (fixpoint blocks and the dynamic worklist).
     fn eval_comp(&mut self, comp: usize) -> Result<bool, SimError> {
-        self.stats.comp_evals += 1;
-        self.core.states[comp].eval_events.clear();
-        // During eval the component still *sees* the outputs of its previous
-        // evaluation (self-loops observe their own last value), but any
-        // output lane it does not write this time is retracted afterwards —
-        // that keeps fixpoint re-evaluation able to withdraw stale values
-        // (essential for credit networks).
         let mut before = std::mem::take(&mut self.prev_scratch);
         before.clear();
         before.extend(
@@ -1054,19 +1079,7 @@ impl Simulator {
                 .iter()
                 .map(|&s| self.core.values[s].clone()),
         );
-        for &s in &self.out_flat[comp] {
-            self.core.written[s] = false;
-        }
-        self.with_comp(comp, |c, ctx| c.eval(ctx))
-            .map_err(|e| self.locate(comp, e))?;
-        if let Some(violation) = self.core.type_violation.take() {
-            return Err(self.locate(comp, SimError::new(violation)));
-        }
-        for &s in &self.out_flat[comp] {
-            if !self.core.written[s] {
-                self.core.values[s] = None;
-            }
-        }
+        self.eval_repeat(comp)?;
         let changed = self.out_flat[comp]
             .iter()
             .zip(&before)
@@ -1075,9 +1088,28 @@ impl Simulator {
         Ok(changed)
     }
 
-    /// Evaluates a component that runs exactly once this cycle. Its
-    /// outputs were cleared at the start of the cycle, so there is no
-    /// previous evaluation to retract or compare against.
+    /// Re-evaluates a component that may already have run this cycle.
+    /// During eval the component still *sees* the outputs of its previous
+    /// evaluation (self-loops observe their own last value), but any output
+    /// lane it does not write this time is retracted afterwards — that lets
+    /// a re-evaluation withdraw a value computed from inputs that were not
+    /// final yet (essential for credit networks).
+    fn eval_repeat(&mut self, comp: usize) -> Result<(), SimError> {
+        for &s in &self.out_flat[comp] {
+            self.core.written[s] = false;
+        }
+        self.eval_once(comp)?;
+        for &s in &self.out_flat[comp] {
+            if !self.core.written[s] {
+                self.core.values[s] = None;
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates a component for the first time this cycle. Its outputs
+    /// were cleared at the start of the cycle, so there is no previous
+    /// evaluation to retract or compare against.
     fn eval_once(&mut self, comp: usize) -> Result<(), SimError> {
         self.stats.comp_evals += 1;
         self.core.states[comp].eval_events.clear();
@@ -1300,25 +1332,21 @@ impl Simulator {
         Ok(())
     }
 
-    /// Evaluates one serial step of the plan through the interpreter: a
-    /// single component, or a combinational-cycle fixpoint block iterated
-    /// until its outputs stop changing.
-    fn settle_window(&mut self, start: usize, len: usize, fixpoint: bool) -> Result<(), SimError> {
-        if !fixpoint {
-            return self.eval_once(self.plan.serial_order[start]);
-        }
+    /// Iterates a fixpoint block (a genuine port-level cycle) until its
+    /// outputs stop changing.
+    fn settle_fixpoint(&mut self, start: usize, len: usize) -> Result<(), SimError> {
         let mut iters = 0;
         loop {
             let mut any = false;
             for j in start..start + len {
-                any |= self.eval_comp(self.plan.serial_order[j])?;
+                any |= self.eval_comp(self.plan.fixpoint_order[j])?;
             }
             if !any {
                 break;
             }
             iters += 1;
             if iters > self.opts.max_fixpoint_iters {
-                let names: Vec<&str> = self.plan.serial_order[start..start + len]
+                let names: Vec<&str> = self.plan.fixpoint_order[start..start + len]
                     .iter()
                     .map(|&c| self.paths[c].as_str())
                     .collect();
@@ -1332,46 +1360,59 @@ impl Simulator {
         Ok(())
     }
 
+    /// Evaluates the kernels `kstart..kstart + klen` with writes buffered,
+    /// then commits the buffer at one barrier.
+    fn run_kernels(
+        &mut self,
+        kstart: usize,
+        klen: usize,
+        held: &mut VecDeque<(usize, Datum)>,
+    ) -> Result<(), SimError> {
+        let mut buf = std::mem::take(&mut self.kernel_buf);
+        buf.clear();
+        let res = eval_stage(
+            &mut self.kernels[kstart..kstart + klen],
+            &self.core.values,
+            self.core.cycle,
+            self.core.seed,
+            &mut buf,
+        );
+        if let Err((comp, e)) = res {
+            self.kernel_buf = buf;
+            return Err(self.locate(comp, e));
+        }
+        self.stats.comp_evals += klen as u64;
+        commit_stage(
+            &mut buf,
+            &mut self.core.values,
+            self.opts.kernel_mutation,
+            held,
+        );
+        self.kernel_buf = buf;
+        Ok(())
+    }
+
     /// The static settle loop: per dependency stage, evaluate the stage's
     /// kernels with writes buffered and committed at the stage barrier,
-    /// then run the stage's serial units through the interpreter. Stage
-    /// members are mutually independent, so the barrier commit makes the
-    /// result identical to evaluating every leaf through the interpreter
-    /// in topological order.
+    /// then run the stage's serial steps in order: single evals, the
+    /// inline evaluations of straight-line blocks, and fixpoint blocks.
+    /// Stage members are mutually independent, so the barrier commit makes
+    /// the result identical to evaluating every leaf through the
+    /// interpreter in topological order.
     fn settle_staged(&mut self) -> Result<(), SimError> {
         let mut held: VecDeque<(usize, Datum)> = VecDeque::new();
         for si in 0..self.plan.stages.len() {
             let stage = self.plan.stages[si];
             if stage.klen > 0 {
-                let mut buf = std::mem::take(&mut self.kernel_buf);
-                buf.clear();
-                let res = eval_stage(
-                    &mut self.kernels[stage.kstart..stage.kstart + stage.klen],
-                    &self.core.values,
-                    self.core.cycle,
-                    self.core.seed,
-                    &mut buf,
-                );
-                if let Err((comp, e)) = res {
-                    self.kernel_buf = buf;
-                    return Err(self.locate(comp, e));
-                }
-                self.stats.comp_evals += stage.klen as u64;
-                commit_stage(
-                    &mut buf,
-                    &mut self.core.values,
-                    self.opts.kernel_mutation,
-                    &mut held,
-                );
-                self.kernel_buf = buf;
+                self.run_kernels(stage.kstart, stage.klen, &mut held)?;
             }
             for sj in stage.sstart..stage.sstart + stage.slen {
-                let SerialStep {
-                    start,
-                    len,
-                    fixpoint,
-                } = self.plan.serial_steps[sj];
-                self.settle_window(start, len, fixpoint)?;
+                match self.plan.serial_steps[sj] {
+                    SerialStep::Once(c) => self.eval_once(c)?,
+                    SerialStep::Repeat(c) => self.eval_repeat(c)?,
+                    SerialStep::Kernel(k) => self.run_kernels(k, 1, &mut held)?,
+                    SerialStep::Fixpoint { start, len } => self.settle_fixpoint(start, len)?,
+                }
             }
         }
         // Only the skipped-barrier mutation holds writes back this long.

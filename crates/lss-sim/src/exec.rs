@@ -4,14 +4,17 @@
 //! condensation; `lss-analyze`'s `Condensation::stages` additionally groups
 //! the SCCs into *stages* — sets of mutually independent schedule units.
 //! The plan records, per stage, which units run as devirtualized
-//! [`Kernel`](crate::kernel::Kernel)s and which stay on the serial dyn
-//! `Component` path (behaviors without a lowering, and fixpoint blocks,
-//! which need the interpreter's change-detection machinery anyway).
+//! [`Kernel`](crate::kernel::Kernel)s and which stay on the serial path:
+//! behaviors without a lowering, the inline evaluations of straight-line
+//! blocks (leaf-level cycles that are acyclic at port level), and fixpoint
+//! blocks, which need the interpreter's change-detection machinery.
 //!
 //! Kernels buffer their writes and the engine commits each stage's buffer
 //! at a stage barrier, so the arena a stage reads never depends on
-//! evaluation order *within* the stage. The injected
-//! [`KernelMutation`]s break exactly that barrier discipline.
+//! evaluation order *within* the stage. A kernel inside a straight-line
+//! block runs at its place in the sequence and commits through the same
+//! [`commit_stage`], as a stage of one. The injected [`KernelMutation`]s
+//! break exactly that barrier discipline.
 
 use std::collections::VecDeque;
 
@@ -50,15 +53,28 @@ impl KernelMutation {
     }
 }
 
-/// One serial (non-kernel) unit of a stage.
-#[derive(Debug, Clone, Copy)]
-pub struct SerialStep {
-    /// Window start into [`CompiledPlan::serial_order`].
-    pub start: usize,
-    /// Window length.
-    pub len: usize,
-    /// True for a combinational-cycle fixpoint block.
-    pub fixpoint: bool,
+/// One serial unit of a stage, run in order after the stage's kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SerialStep {
+    /// A component's only (or first) evaluation this cycle.
+    Once(usize),
+    /// A repeat evaluation inside a straight-line block: clears the
+    /// component's `written` flags, evaluates, and retracts every lane it
+    /// did not write. No snapshot, no compare.
+    Repeat(usize),
+    /// A lowered member of a straight-line block (an index into the
+    /// engine's kernel vector, outside every stage window), evaluated and
+    /// committed at its place in the sequence.
+    Kernel(usize),
+    /// A fixpoint block: the window `start..start + len` of
+    /// [`CompiledPlan::fixpoint_order`], iterated until its outputs stop
+    /// changing.
+    Fixpoint {
+        /// Window start.
+        start: usize,
+        /// Window length.
+        len: usize,
+    },
 }
 
 /// One stage of the static plan: a window of kernels (mutually
@@ -82,20 +98,8 @@ pub struct CompiledPlan {
     pub stages: Vec<StageInfo>,
     /// Serial steps, windowed by [`StageInfo`].
     pub serial_steps: Vec<SerialStep>,
-    /// Component indices backing the serial steps.
-    pub serial_order: Vec<usize>,
-}
-
-impl CompiledPlan {
-    /// Total kernel units across all stages.
-    pub fn kernel_count(&self) -> usize {
-        self.stages.iter().map(|s| s.klen).sum()
-    }
-
-    /// Stage count.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
+    /// Members of the fixpoint blocks, windowed by [`SerialStep::Fixpoint`].
+    pub fixpoint_order: Vec<usize>,
 }
 
 /// Evaluates one stage's kernel window into `out`, appending buffered

@@ -1,8 +1,8 @@
 //! Compiled per-component kernels: devirtualized corelib behaviors.
 //!
-//! The interpreter calls `Component::eval` through a vtable, snapshotting
-//! outputs for change detection and retracting unwritten lanes —
-//! machinery only fixpoint blocks need. For the hot corelib behaviors the
+//! The interpreter calls `Component::eval` through a vtable, and repeat
+//! evaluations also retract unwritten lanes (fixpoint blocks snapshot
+//! outputs for change detection on top). For the hot corelib behaviors the
 //! netlist already tells us everything at build time, so the static
 //! scheduler lowers each such component into a [`Kernel`]: a
 //! monomorphized closure over resolved port *slots* in the flat value
@@ -357,7 +357,8 @@ impl Kernel {
     /// kernel may cache work for its own `end_of_timestep` (the issue
     /// window's selection, for example) — a kernel runs exactly once per
     /// cycle, after its combinational inputs are final, so such caching is
-    /// sound on the non-cyclic components the engine lowers.
+    /// sound on the components the engine lowers (acyclic singletons, and
+    /// straight-line block members evaluated once).
     pub fn eval(
         &mut self,
         values: &[Option<Datum>],

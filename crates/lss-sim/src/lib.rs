@@ -10,9 +10,10 @@
 //! * [`bsl`] — the interpreter for userpoint and collector BSL code;
 //! * [`slots`] — flat name/value tables ([`SlotTable`]) that back runtime
 //!   variables and collector state without per-cycle hashing;
-//! * [`sched`] — static concurrency scheduling (topological order with
-//!   fixpoint blocks for genuine combinational cycles), the LSE
-//!   optimization of \[12\];
+//! * [`sched`] — static concurrency scheduling (topological order,
+//!   straight-line sequences for leaf-level cycles that are acyclic at
+//!   port level, fixpoint blocks for genuine combinational cycles), the
+//!   LSE optimization of \[12\];
 //! * [`engine`] — the cycle engine with both the static scheduler and a
 //!   SystemC-style dynamic (worklist fixpoint) baseline, plus the
 //!   aspect-oriented event/collector instrumentation of §4.5;

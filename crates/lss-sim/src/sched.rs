@@ -5,14 +5,18 @@
 //! from an output of `A` to an input of `B` *that `B`'s `eval` actually
 //! reads* (state elements consume their inputs in `end_of_timestep`, which
 //! is what breaks synchronous feedback loops). The static schedule is the
-//! topological order of this graph's strongly connected components; a
-//! multi-node SCC is a true combinational cycle and is iterated to a
-//! fixpoint at simulation time.
+//! topological order of this graph's strongly connected components. A
+//! multi-node SCC is a leaf-level cycle, and LSE schedules at port
+//! granularity, so most such cycles (credit handshakes, cache
+//! request/response pairs) are acyclic port by port: they run as a fixed
+//! straight-line sequence of evaluations. Only a genuine port-level cycle
+//! is iterated to a fixpoint at simulation time.
 //!
-//! The graph itself lives in `lss-analyze` ([`DepGraph`] and its Tarjan
-//! [`Condensation`]): the engine executes exactly the condensation the
-//! static analyzer's cycle detector reports on, so `lssc check` and the
-//! scheduler can never disagree about what is a cycle.
+//! The graphs live in `lss-analyze` ([`DepGraph`], its Tarjan
+//! [`Condensation`], and the straight-line order of
+//! `LeafDepGraph::straight_line_order`): the engine executes exactly the
+//! condensation and sequences the static analyzer derives, so `lssc check`
+//! (`LSS101`) and the scheduler can never disagree about what is a cycle.
 
 use lss_analyze::{Condensation, DepGraph};
 
@@ -21,6 +25,10 @@ use lss_analyze::{Condensation, DepGraph};
 pub enum ScheduleStep {
     /// Evaluate a single component once.
     Single(usize),
+    /// A leaf-level cycle that is acyclic at port level: evaluate these
+    /// components in this order, once per entry. A component appears again
+    /// only after an in-block output it reads has become final.
+    Sequence(Vec<usize>),
     /// A combinational cycle: iterate these components until their outputs
     /// stop changing.
     Fixpoint(Vec<usize>),
@@ -40,6 +48,9 @@ impl Schedule {
             .iter()
             .map(|s| match s {
                 ScheduleStep::Single(_) => 1,
+                ScheduleStep::Sequence(v) => {
+                    (0..v.len()).filter(|&j| !v[..j].contains(&v[j])).count()
+                }
                 ScheduleStep::Fixpoint(v) => v.len(),
             })
             .sum()
@@ -50,7 +61,7 @@ impl Schedule {
         self.steps.is_empty()
     }
 
-    /// Number of multi-component fixpoint blocks.
+    /// Number of fixpoint blocks: genuine port-level combinational cycles.
     pub fn cycle_blocks(&self) -> usize {
         self.steps
             .iter()
@@ -58,19 +69,35 @@ impl Schedule {
             .count()
     }
 
+    /// Number of leaf-level cycles scheduled as straight-line sequences.
+    pub fn straight_line_blocks(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| matches!(s, ScheduleStep::Sequence(_)))
+            .count()
+    }
+
     /// Builds the schedule executing a dependency-graph condensation:
     /// acyclic components become [`ScheduleStep::Single`] evaluations in
-    /// topological order, genuine cycles become fixpoint blocks.
-    pub fn from_condensation(cond: &Condensation) -> Schedule {
+    /// topological order; each cycle becomes a [`ScheduleStep::Sequence`]
+    /// when `sequence` returns an order for it (the engine passes
+    /// `LeafDepGraph::straight_line_order`), and a fixpoint block
+    /// otherwise.
+    pub fn from_condensation(
+        cond: &Condensation,
+        mut sequence: impl FnMut(&[usize]) -> Option<Vec<usize>>,
+    ) -> Schedule {
         let steps = cond
             .sccs
             .iter()
             .zip(&cond.cyclic)
             .map(|(scc, &cyclic)| {
-                if cyclic {
-                    ScheduleStep::Fixpoint(scc.clone())
-                } else {
+                if !cyclic {
                     ScheduleStep::Single(scc[0])
+                } else if let Some(order) = sequence(scc) {
+                    ScheduleStep::Sequence(order)
+                } else {
+                    ScheduleStep::Fixpoint(scc.clone())
                 }
             })
             .collect();
@@ -79,9 +106,10 @@ impl Schedule {
 }
 
 /// Computes the static schedule for `n` components given the combinational
-/// edges `A → B` (deduplicated internally).
+/// edges `A → B` (deduplicated internally). Without port-level information
+/// every cycle is a fixpoint block.
 pub fn schedule(n: usize, edges: &[(usize, usize)]) -> Schedule {
-    Schedule::from_condensation(&DepGraph::from_edges(n, edges).condense())
+    Schedule::from_condensation(&DepGraph::from_edges(n, edges).condense(), |_| None)
 }
 
 #[cfg(test)]
@@ -94,7 +122,7 @@ mod tests {
             .iter()
             .flat_map(|s| match s {
                 ScheduleStep::Single(v) => vec![*v],
-                ScheduleStep::Fixpoint(vs) => vs.clone(),
+                ScheduleStep::Sequence(vs) | ScheduleStep::Fixpoint(vs) => vs.clone(),
             })
             .collect()
     }
@@ -139,6 +167,18 @@ mod tests {
             })
             .unwrap();
         assert_eq!(block, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn sequenced_cycle_is_a_straight_line_block() {
+        // 0 <-> 1 feeding 2: with an order for the cycle it runs inline,
+        // and each member still counts once.
+        let cond = DepGraph::from_edges(3, &[(0, 1), (1, 0), (1, 2)]).condense();
+        let s = Schedule::from_condensation(&cond, |scc| Some(vec![scc[1], scc[0], scc[1]]));
+        assert_eq!(s.steps[0], ScheduleStep::Sequence(vec![1, 0, 1]));
+        assert_eq!(s.cycle_blocks(), 0);
+        assert_eq!(s.straight_line_blocks(), 1);
+        assert_eq!(s.len(), 3);
     }
 
     #[test]

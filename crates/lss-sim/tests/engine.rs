@@ -158,8 +158,61 @@ impl Component for SendVar {
     }
 }
 
+/// Sends `grant` on `out`, or 100 while `grant` is absent. With `lie` set
+/// its dependency contract wrongly claims `out` does not read `grant`.
+struct Gate {
+    grant: usize,
+    lie: bool,
+    out: usize,
+}
+impl Component for Gate {
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        let v = ctx.input(self.grant, 0).unwrap_or(Datum::Int(100));
+        ctx.set_output(self.out, 0, v);
+        Ok(())
+    }
+    fn output_depends_on(&self, _output: usize, _input: usize) -> bool {
+        !self.lie
+    }
+}
+
+/// Asks for 7 on `ask` (independent of `in`) and forwards `in` on `out`
+/// lane 0; while `in` is still absent it writes -1 on lane 1 instead.
+struct Echo {
+    inp: usize,
+    out: usize,
+    ask: usize,
+}
+impl Component for Echo {
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        ctx.set_output(self.ask, 0, Datum::Int(7));
+        match ctx.input(self.inp, 0) {
+            Some(v) => ctx.set_output(self.out, 0, v),
+            None => ctx.set_output(self.out, 1, Datum::Int(-1)),
+        }
+        Ok(())
+    }
+    fn output_depends_on(&self, output: usize, _input: usize) -> bool {
+        output == self.out
+    }
+}
+
 fn registry() -> ComponentRegistry {
     let mut reg = ComponentRegistry::new();
+    reg.register("test/gate.tar", |spec| {
+        Ok(Box::new(Gate {
+            grant: spec.port_index("grant")?,
+            lie: spec.flag_param("lie", false)?,
+            out: spec.port_index("out")?,
+        }) as Box<dyn Component>)
+    });
+    reg.register("test/echo.tar", |spec| {
+        Ok(Box::new(Echo {
+            inp: spec.port_index("in")?,
+            out: spec.port_index("out")?,
+            ask: spec.port_index("ask")?,
+        }) as Box<dyn Component>)
+    });
     reg.register("test/send_var.tar", |spec| {
         Ok(Box::new(SendVar {
             out: spec.port_index("out")?,
@@ -251,6 +304,18 @@ module inv {
     inport in:bool;
     outport out:bool;
     tar_file = "test/inv.tar";
+};
+module gate {
+    parameter lie = 0:int;
+    inport grant:int;
+    outport out:int;
+    tar_file = "test/gate.tar";
+};
+module echo {
+    inport in:int;
+    outport out:int;
+    outport ask:int;
+    tar_file = "test/echo.tar";
 };
 "#;
 
@@ -560,6 +625,95 @@ fn oscillating_loop_is_detected() {
             "{scheduler:?}: {err}"
         );
     }
+}
+
+/// A gate ↔ echo handshake: a leaf-level cycle that is acyclic at port
+/// level (`ask` → `grant` → gate `out` → echo `in` → echo `out`). Echo's
+/// `out` fans out to two accumulators, so it has two lanes.
+fn handshake(lie: bool) -> String {
+    format!(
+        "instance g:gate;\ninstance e:echo;\ninstance a0:acc;\ninstance a1:acc;\n\
+         g.lie = {};\ng.out -> e.in;\ne.ask -> g.grant;\ne.out -> a0.in;\ne.out -> a1.in;\n",
+        i64::from(lie)
+    )
+}
+
+#[test]
+fn straight_line_repeat_eval_retracts_lanes_written_from_absent_inputs() {
+    // The static schedule runs [e, g, e]. Echo's first eval sees `in`
+    // absent and writes lane 1; the repeat eval forwards the grant on lane
+    // 0 and must retract lane 1, as the dynamic scheduler and RefSim (which
+    // never see lane 1 survive a settle) agree.
+    let netlist = netlist_of(&handshake(false));
+    let sim = sim_of(&handshake(false), Scheduler::Static);
+    let order: Vec<&str> = sim
+        .static_schedule()
+        .steps
+        .iter()
+        .find_map(|step| match step {
+            lss_sim::ScheduleStep::Sequence(order) => Some(order),
+            _ => None,
+        })
+        .expect("the handshake is a straight-line block")
+        .iter()
+        .map(|&c| ["g", "e", "a0", "a1"][c])
+        .collect();
+    assert_eq!(order, ["e", "g", "e"]);
+    assert_eq!(sim.static_schedule().cycle_blocks(), 0);
+    let mut reference =
+        lss_verify::RefSim::build(&netlist, &registry(), lss_verify::Mutation::None)
+            .expect("reference build");
+    reference.init().unwrap();
+    for scheduler in [Scheduler::Static, Scheduler::Dynamic] {
+        let mut sim = sim_of(&handshake(false), scheduler);
+        sim.run(3).unwrap();
+        assert_eq!(
+            sim.peek("e", "out", 0),
+            Some(Datum::Int(7)),
+            "{scheduler:?}"
+        );
+        assert_eq!(sim.peek("e", "out", 1), None, "{scheduler:?}");
+        assert_eq!(
+            sim.rtv("a0", "total"),
+            Some(Datum::Int(21)),
+            "{scheduler:?}"
+        );
+        assert_eq!(sim.rtv("a1", "total"), Some(Datum::Int(0)), "{scheduler:?}");
+        if scheduler == Scheduler::Static {
+            for _ in 0..3 {
+                reference.step().unwrap();
+            }
+            assert_eq!(sim.state_lines(), reference.state_lines());
+        }
+    }
+}
+
+#[test]
+fn difftest_catches_a_lying_dependency_contract() {
+    // A gate that claims `out` does not read `grant` looks final after its
+    // first eval, so the static order becomes [g, e, g]: echo forwards the
+    // cycle-start 100 and never sees the grant. The dynamic scheduler
+    // re-runs echo when the gate's output changes, so the differential
+    // harness reports the divergence; the honest gate passes.
+    let mut driver = lss_driver::Driver::new();
+    driver.set_registry(registry());
+    let opts = lss_verify::DiffOptions::default();
+    let honest = netlist_of(&handshake(false));
+    let found = lss_verify::difftest::diff_netlist(&mut driver, &honest, &opts).unwrap();
+    assert!(found.is_none(), "honest contract diverged: {found:?}");
+
+    let lying = netlist_of(&handshake(true));
+    let mut stat = sim_of(&handshake(true), Scheduler::Static);
+    stat.run(1).unwrap();
+    assert_eq!(stat.peek("e", "out", 0), Some(Datum::Int(100)));
+    let found = lss_verify::difftest::diff_netlist(&mut driver, &lying, &opts).unwrap();
+    assert!(
+        matches!(
+            found,
+            Some(lss_verify::Discrepancy::Kernel { cycle: 0, .. })
+        ),
+        "lying contract went undetected: {found:?}"
+    );
 }
 
 #[test]

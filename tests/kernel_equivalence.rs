@@ -152,3 +152,79 @@ fn corpus_agrees_three_ways() {
     }
     assert!(failures.is_empty(), "divergences:\n{}", failures.join("\n"));
 }
+
+/// The fixpoint blocks of the static schedule, and the subjects of every
+/// `LSS101` finding, as instance paths.
+fn fixpoint_blocks_and_lss101_subjects(netlist: &Netlist) -> (Vec<Vec<String>>, Vec<String>) {
+    use lss_analyze::{AnalysisConfig, Code, PassManager};
+    use lss_sim::ScheduleStep;
+
+    let registry = lss_corelib::registry();
+    let sim = build_engine(netlist, Scheduler::Static);
+    let paths: Vec<&str> = netlist.leaves().map(|l| l.path.as_str()).collect();
+    let blocks = sim
+        .static_schedule()
+        .steps
+        .iter()
+        .filter_map(|step| match step {
+            ScheduleStep::Fixpoint(members) => {
+                Some(members.iter().map(|&c| paths[c].to_string()).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    let comb = lss_sim::comb_info(netlist, &registry);
+    let analysis =
+        PassManager::with_default_passes().run(netlist, &comb, &AnalysisConfig::default());
+    let subjects = analysis
+        .with_code(Code::CombCycle)
+        .map(|f| f.subject.clone())
+        .collect();
+    (blocks, subjects)
+}
+
+#[test]
+fn fixpoint_blocks_are_exactly_the_lss101_cycles() {
+    // A netlist keeps a fixpoint block if and only if `lssc check` reports
+    // LSS101 for it: every block holds a reported cycle and every reported
+    // cycle runs inside a block. The Table 3 models and the corpus have
+    // none; the ring of two tees is a genuine port-level cycle.
+    let ring = "instance a:tee;\ninstance b:tee;\na.out -> b.in;\nb.out -> a.in;\na.out :: int;\n";
+    let mut netlists: Vec<(String, Netlist)> = models()
+        .iter()
+        .map(|m| {
+            (
+                format!("model {}", m.id),
+                compile_model(m).expect("compile").netlist,
+            )
+        })
+        .collect();
+    for path in corpus_files() {
+        let text = fs::read_to_string(&path).expect("corpus file readable");
+        if let Ok(c) = compile_source(&text, &CompileOptions::default()) {
+            netlists.push((path.display().to_string(), c.netlist));
+        }
+    }
+    let ring = compile_source(ring, &CompileOptions::default()).expect("ring compiles");
+    netlists.push(("tee ring".to_string(), ring.netlist));
+    let mut cyclic = Vec::new();
+    for (name, netlist) in &netlists {
+        let (blocks, subjects) = fixpoint_blocks_and_lss101_subjects(netlist);
+        for block in &blocks {
+            assert!(
+                subjects.iter().any(|s| block.contains(s)),
+                "{name}: fixpoint block {block:?} has no LSS101 finding"
+            );
+        }
+        for subject in &subjects {
+            assert!(
+                blocks.iter().any(|b| b.contains(subject)),
+                "{name}: LSS101 cycle at {subject} is not a fixpoint block"
+            );
+        }
+        if !blocks.is_empty() {
+            cyclic.push(name.as_str());
+        }
+    }
+    assert_eq!(cyclic, ["tee ring"]);
+}
