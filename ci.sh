@@ -134,6 +134,11 @@ echo "==> kernels: equivalence suite (static vs dynamic vs refsim)"
 cargo test -q --test kernel_equivalence
 cargo test -q --test golden_batch
 
+echo "==> speed: §8 static-vs-dynamic gate (BENCH_sim_speed.json)"
+# The bench asserts that the static scheduler never loses to the dynamic
+# worklist and wins by at least 3x on model C; it exits nonzero otherwise.
+cargo bench -q -p bench --bench sim_speed
+
 echo "==> kernels: fuzz smoke + injected-bug canaries (fixed seed)"
 # The sim-only loop above already cross-checks the static scheduler's
 # kernels against the dynamic one inside every difftest; this stage

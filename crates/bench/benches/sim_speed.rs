@@ -14,6 +14,10 @@
 //! delay-chain size or on any measured Table 3 model, and must win by at
 //! least 3x on model C.
 //!
+//! The gated `sim_model_500cycles` rows time build plus 500 cycles of
+//! stepping; the `sim_model_build` rows time the build alone, so the
+//! stepping share of a model is the difference of the two medians.
+//!
 //! Emits `BENCH_sim_speed.json` in the working directory so successive PRs
 //! can track the performance trajectory mechanically.
 
@@ -52,6 +56,15 @@ fn main() {
     for m in lss_models::models() {
         let compiled = compiled_model(m);
         for (name, scheduler) in SCHEDULERS {
+            samples.push(measure(
+                format!("sim_model_build/{name}/{}", m.id),
+                2,
+                30,
+                || {
+                    let sim = simulator(&compiled.netlist, scheduler);
+                    std::hint::black_box(sim.component_count());
+                },
+            ));
             samples.push(measure(
                 format!("sim_model_500cycles/{name}/{}", m.id),
                 1,

@@ -14,11 +14,15 @@
 //! pipeline models *timing* (hazards, stalls, mispredict penalties, cache
 //! misses) rather than architectural semantics — the standard trace-driven
 //! simulation style the paper's models also use for exploration.
+//!
+//! Fetch encodes each instruction record once. Decode, dispatch, issue and
+//! the functional unit hold what they receive as an [`InstrRecord`] and
+//! send the record they received, never a re-encoded one.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use lss_netlist::{EventId, KernelClass, RtvId, SrcSpan};
+use lss_netlist::{EventId, InstrRecord, KernelClass, RtvId, SrcSpan};
 use lss_sim::{BuildError, CompCtx, CompSpec, Component, SimError};
 use lss_types::Datum;
 
@@ -34,12 +38,26 @@ fn read_int_or(ctx: &dyn CompCtx, port: usize, default: i64) -> i64 {
     }
 }
 
+fn malformed(d: &Datum) -> SimError {
+    SimError::new(format!("malformed instruction datum: {d}"))
+}
+
 fn instr_at(ctx: &dyn CompCtx, port: usize, lane: u32) -> Result<Option<Instr>, SimError> {
     match ctx.input(port, lane) {
         None => Ok(None),
-        Some(d) => Instr::from_datum(&d)
-            .map(Some)
-            .ok_or_else(|| SimError::new(format!("malformed instruction datum: {d}"))),
+        Some(d) => Instr::from_datum(&d).map(Some).ok_or_else(|| malformed(&d)),
+    }
+}
+
+/// The instruction on `port[lane]`, decoded once and kept next to the
+/// record it arrived in.
+fn record_at(ctx: &dyn CompCtx, port: usize, lane: u32) -> Result<Option<InstrRecord>, SimError> {
+    match ctx.input(port, lane) {
+        None => Ok(None),
+        Some(datum) => match Instr::from_datum(&datum) {
+            Some(instr) => Ok(Some(InstrRecord { instr, datum })),
+            None => Err(malformed(&datum)),
+        },
     }
 }
 
@@ -105,8 +123,9 @@ pub struct Fetch {
     n_instrs: u64,
     penalty: i64,
     default_pred: i64,
-    /// Prefetch buffer refilled at end of cycle (keeps eval pure).
-    buffer: VecDeque<Instr>,
+    /// Prefetch buffer refilled at end of cycle (keeps eval pure). Each
+    /// instruction is encoded once, when it enters the buffer.
+    buffer: VecDeque<InstrRecord>,
     stall: i64,
     fetched: u64,
     fetched_rtv: Option<RtvId>,
@@ -158,12 +177,26 @@ impl Fetch {
         let lanes = ctx.width(self.out) as usize;
         let credit = read_int_or(ctx, self.credit_in, lanes as i64).max(0) as usize;
         let n = self.buffer.len().min(lanes).min(credit);
-        for (i, instr) in self.buffer.iter().take(n).enumerate() {
-            if instr.op_class() == OpClass::Branch {
+        for (i, record) in self.buffer.iter().take(n).enumerate() {
+            if record.instr.op_class() == OpClass::Branch {
                 return i + 1;
             }
         }
         n
+    }
+
+    /// Tops the prefetch buffer up to two bundles, encoding each new
+    /// instruction's record: the only encode an instruction gets.
+    fn refill(&mut self, ctx: &dyn CompCtx) {
+        let lanes = ctx.width(self.out) as usize;
+        while self.buffer.len() < lanes.max(1) * 2 && self.fetched < self.n_instrs {
+            let instr = self.workload.next_instr();
+            self.buffer.push_back(InstrRecord {
+                datum: instr.to_datum(),
+                instr,
+            });
+            self.fetched += 1;
+        }
     }
 }
 
@@ -173,20 +206,16 @@ impl Component for Fetch {
         self.fetched_rtv = Some(fetched_rtv);
         self.mispredicts_rtv = Some(ctx.ensure_rtv("mispredicts", Datum::Int(0)));
         // Prefill the prefetch buffer so the first cycle can issue.
-        let lanes = ctx.width(self.out) as usize;
-        while self.buffer.len() < lanes.max(1) * 2 && self.fetched < self.n_instrs {
-            self.buffer.push_back(self.workload.next_instr());
-            self.fetched += 1;
-        }
+        self.refill(ctx);
         ctx.set_rtv_by_id(fetched_rtv, Datum::Int(self.fetched as i64));
         Ok(())
     }
 
     fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
         let n = self.bundle(ctx);
-        for i in 0..n {
-            let instr = self.buffer[i];
-            ctx.set_output(self.out, i as u32, instr.to_datum());
+        for (i, record) in self.buffer.iter().take(n).enumerate() {
+            let instr = record.instr;
+            ctx.set_output(self.out, i as u32, record.datum.clone());
             if instr.op_class() == OpClass::Branch {
                 ctx.set_output(self.bp_lookup, i as u32, Datum::Int(instr.pc));
                 ctx.set_output(
@@ -203,7 +232,7 @@ impl Component for Fetch {
         let n = self.bundle(ctx);
         // Mispredict check for branches in the emitted bundle.
         for i in 0..n {
-            let instr = self.buffer[i];
+            let instr = self.buffer[i].instr;
             if instr.op_class() != OpClass::Branch {
                 continue;
             }
@@ -228,12 +257,7 @@ impl Component for Fetch {
         if self.stall > 0 && n == 0 {
             self.stall -= 1;
         }
-        // Refill the prefetch buffer.
-        let lanes = ctx.width(self.out) as usize;
-        while self.buffer.len() < lanes.max(1) * 2 && self.fetched < self.n_instrs {
-            self.buffer.push_back(self.workload.next_instr());
-            self.fetched += 1;
-        }
+        self.refill(ctx);
         let id = self.fetched_rtv.expect("resolved in init");
         ctx.set_rtv_by_id(id, Datum::Int(self.fetched as i64));
         Ok(())
@@ -251,6 +275,11 @@ impl Component for Fetch {
 /// `corelib/decode.tar` — combinational decode: normalizes each
 /// instruction's latency field from its op class and forwards it; the
 /// downstream credit is forwarded upstream unchanged.
+///
+/// A record whose `lat` already matches its op class is forwarded as
+/// received. Otherwise decode sets `lat` on a copy of the record (copy on
+/// write), so the upstream holder keeps its value and the record keeps its
+/// layout.
 ///
 /// Ports: `in`/`out` (instr, W lanes), `credit_in` (int in, optional),
 /// `credit` (int out, optional).
@@ -276,9 +305,13 @@ impl Decode {
 impl Component for Decode {
     fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
         for lane in 0..ctx.width(self.out) {
-            if let Some(mut instr) = instr_at(ctx, self.inp, lane)? {
-                instr.lat = instr.op_class().latency();
-                ctx.set_output(self.out, lane, instr.to_datum());
+            if let Some(InstrRecord { instr, mut datum }) = record_at(ctx, self.inp, lane)? {
+                let lat = instr.op_class().latency();
+                if instr.lat != lat {
+                    let field = datum.field_mut("lat").expect("a decoded record has `lat`");
+                    *field = Datum::Int(lat);
+                }
+                ctx.set_output(self.out, lane, datum);
             }
         }
         if ctx.width(self.credit) > 0 {
@@ -316,7 +349,13 @@ pub struct Dispatch {
     rs_credit: usize,
     depth: usize,
     classes: Vec<i64>,
-    buf: VecDeque<Instr>,
+    buf: VecDeque<InstrRecord>,
+    /// Routing scratch, reused every call: per out lane, has credit and
+    /// is not yet taken.
+    open: Vec<bool>,
+    /// The routing decision: the out lane of each routed buffer entry.
+    /// Routing is in order, so entry `i` goes to `routed[i]`.
+    routed: Vec<u32>,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -335,48 +374,42 @@ impl Dispatch {
             depth: spec.int_param_or("depth", 8)?.max(1) as usize,
             classes,
             buf: VecDeque::new(),
+            open: Vec::new(),
+            routed: Vec::new(),
             contract: spec.protocol_context(inp),
         }))
     }
 
-    /// In-order routing decision: (buffer index, out lane) pairs.
-    fn route(&self, ctx: &dyn CompCtx) -> Vec<(usize, u32)> {
-        let lanes = ctx.width(self.out) as usize;
-        let mut lane_used = vec![false; lanes];
-        let mut lane_credit: Vec<i64> = (0..lanes)
-            .map(|lane| match ctx.input(self.rs_credit, lane as u32) {
-                Some(Datum::Int(v)) => v,
-                _ => 0,
-            })
-            .collect();
-        let mut routed = Vec::new();
-        for (i, instr) in self.buf.iter().enumerate() {
-            let op = instr.op_class();
-            let mut placed = false;
-            for lane in 0..lanes {
-                if !lane_used[lane]
-                    && lane_credit[lane] > 0
-                    && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
-                {
-                    lane_used[lane] = true;
-                    lane_credit[lane] -= 1;
-                    routed.push((i, lane as u32));
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
+    /// In-order routing decision into `routed`. Each out lane with credit
+    /// takes at most one instruction per cycle.
+    fn route(&mut self, ctx: &dyn CompCtx) {
+        let lanes = ctx.width(self.out);
+        self.open.clear();
+        self.open.extend(
+            (0..lanes).map(
+                |lane| matches!(ctx.input(self.rs_credit, lane), Some(Datum::Int(v)) if v > 0),
+            ),
+        );
+        self.routed.clear();
+        for record in &self.buf {
+            let op = record.instr.op_class();
+            let lane = (0..self.open.len()).find(|&lane| {
+                self.open[lane] && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
+            });
+            let Some(lane) = lane else {
                 break; // in-order dispatch stalls behind the head
-            }
+            };
+            self.open[lane] = false;
+            self.routed.push(lane as u32);
         }
-        routed
     }
 }
 
 impl Component for Dispatch {
     fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for (i, lane) in self.route(ctx) {
-            ctx.set_output(self.out, lane, self.buf[i].to_datum());
+        self.route(ctx);
+        for (record, &lane) in self.buf.iter().zip(&self.routed) {
+            ctx.set_output(self.out, lane, record.datum.clone());
         }
         let free = (self.depth - self.buf.len()) as i64;
         if ctx.width(self.credit) > 0 {
@@ -386,11 +419,11 @@ impl Component for Dispatch {
     }
 
     fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let routed = self.route(ctx);
+        self.route(ctx);
         // Routed entries are a prefix (in-order), so drain from the front.
-        self.buf.drain(..routed.len());
+        self.buf.drain(..self.routed.len());
         for lane in 0..ctx.width(self.inp) {
-            if let Some(instr) = instr_at(ctx, self.inp, lane)? {
+            if let Some(record) = record_at(ctx, self.inp, lane)? {
                 if self.buf.len() >= self.depth {
                     return Err(SimError::protocol_violation(
                         &self.contract.0,
@@ -398,7 +431,7 @@ impl Component for Dispatch {
                         self.contract.1,
                     ));
                 }
-                self.buf.push_back(instr);
+                self.buf.push_back(record);
             }
         }
         Ok(())
@@ -438,9 +471,14 @@ pub struct Issue {
     issue_width: usize,
     in_order: bool,
     classes: Vec<i64>,
-    window: VecDeque<Instr>,
+    window: VecDeque<InstrRecord>,
     /// In-flight destination registers (register → writers outstanding).
     pending: HashMap<i64, u32>,
+    /// Selection scratch, reused every call: per out lane, has credit and
+    /// is not yet taken.
+    open: Vec<bool>,
+    /// The issue selection: (window index, out lane) pairs in window order.
+    picks: Vec<(usize, u32)>,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -463,61 +501,56 @@ impl Issue {
             classes,
             window: VecDeque::new(),
             pending: HashMap::new(),
+            open: Vec::new(),
+            picks: Vec::new(),
             contract: spec.protocol_context(inp),
         }))
     }
 
-    fn reg_ready(&self, reg: i64) -> bool {
-        reg < 0 || !self.pending.contains_key(&reg)
-    }
-
-    /// The issue selection: (window index, out lane) pairs.
-    fn select(&self, ctx: &dyn CompCtx) -> Vec<(usize, u32)> {
-        let lanes = ctx.width(self.out) as usize;
-        let mut lane_used = vec![false; lanes];
-        let mut lane_credit: Vec<i64> = (0..lanes)
-            .map(|lane| match ctx.input(self.fu_credit, lane as u32) {
-                Some(Datum::Int(v)) => v,
-                _ => 0,
-            })
-            .collect();
-        let mut picks = Vec::new();
-        for (i, instr) in self.window.iter().enumerate() {
-            if picks.len() >= self.issue_width {
+    /// The issue selection into `picks`. Each out lane with credit takes
+    /// at most one instruction per cycle.
+    fn select(&mut self, ctx: &dyn CompCtx) {
+        let lanes = ctx.width(self.out);
+        self.open.clear();
+        self.open.extend(
+            (0..lanes).map(
+                |lane| matches!(ctx.input(self.fu_credit, lane), Some(Datum::Int(v)) if v > 0),
+            ),
+        );
+        self.picks.clear();
+        let reg_ready = |reg: i64| reg < 0 || !self.pending.contains_key(&reg);
+        for (i, InstrRecord { instr, .. }) in self.window.iter().enumerate() {
+            if self.picks.len() >= self.issue_width {
                 break;
             }
             let op = instr.op_class();
             // RAW on sources; conservative WAW on destination.
-            let ready = self.reg_ready(instr.src1)
-                && self.reg_ready(instr.src2)
-                && self.reg_ready(instr.dst);
-            let mut placed = false;
-            if ready {
-                for lane in 0..lanes {
-                    if !lane_used[lane]
-                        && lane_credit[lane] > 0
-                        && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
-                    {
-                        lane_used[lane] = true;
-                        lane_credit[lane] -= 1;
-                        picks.push((i, lane as u32));
-                        placed = true;
-                        break;
-                    }
+            let ready = reg_ready(instr.src1) && reg_ready(instr.src2) && reg_ready(instr.dst);
+            let lane = if ready {
+                (0..self.open.len()).find(|&lane| {
+                    self.open[lane] && class_accepts(*self.classes.get(lane).unwrap_or(&0), op)
+                })
+            } else {
+                None
+            };
+            match lane {
+                Some(lane) => {
+                    self.open[lane] = false;
+                    self.picks.push((i, lane as u32));
                 }
-            }
-            if self.in_order && !placed {
-                break; // younger instructions cannot bypass the stalled head
+                // Younger instructions cannot bypass the stalled head.
+                None if self.in_order => break,
+                None => {}
             }
         }
-        picks
     }
 }
 
 impl Component for Issue {
     fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        for (i, lane) in self.select(ctx) {
-            ctx.set_output(self.out, lane, self.window[i].to_datum());
+        self.select(ctx);
+        for &(i, lane) in &self.picks {
+            ctx.set_output(self.out, lane, self.window[i].datum.clone());
         }
         if ctx.width(self.credit) > 0 {
             let free = (self.window_size - self.window.len()) as i64;
@@ -527,19 +560,16 @@ impl Component for Issue {
     }
 
     fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
-        let picks = self.select(ctx);
+        self.select(ctx);
         // Mark issued destinations pending, then remove from the window
-        // back-to-front so indices stay valid.
-        let mut indices: Vec<usize> = Vec::with_capacity(picks.len());
-        for (i, _) in &picks {
-            let instr = self.window[*i];
-            if instr.dst >= 0 {
-                *self.pending.entry(instr.dst).or_insert(0) += 1;
+        // back-to-front (picks are in window order) so indices stay valid.
+        for &(i, _) in &self.picks {
+            let dst = self.window[i].instr.dst;
+            if dst >= 0 {
+                *self.pending.entry(dst).or_insert(0) += 1;
             }
-            indices.push(*i);
         }
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        for i in indices {
+        for &(i, _) in self.picks.iter().rev() {
             self.window.remove(i);
         }
         // Completions release destinations.
@@ -557,7 +587,7 @@ impl Component for Issue {
         }
         // Accept arrivals.
         for lane in 0..ctx.width(self.inp) {
-            if let Some(instr) = instr_at(ctx, self.inp, lane)? {
+            if let Some(record) = record_at(ctx, self.inp, lane)? {
                 if self.window.len() >= self.window_size {
                     return Err(SimError::protocol_violation(
                         &self.contract.0,
@@ -565,7 +595,7 @@ impl Component for Issue {
                         self.contract.1,
                     ));
                 }
-                self.window.push_back(instr);
+                self.window.push_back(record);
             }
         }
         Ok(())
@@ -622,12 +652,13 @@ pub struct Fu {
     mem_resp: usize,
     pipelined: bool,
     max_inflight: usize,
-    /// Instruction in the address-generation stage (just accepted).
-    agen: Option<Instr>,
+    /// Instruction in the address-generation stage (just accepted),
+    /// decoded once; `done` later carries the record it arrived in.
+    agen: Option<InstrRecord>,
     /// Executing instructions with remaining cycle counts.
-    in_flight: Vec<(Instr, i64)>,
+    in_flight: Vec<(InstrRecord, i64)>,
     /// Finished instructions awaiting the (optional) CDB grant.
-    done_buf: VecDeque<Instr>,
+    done_buf: VecDeque<InstrRecord>,
     /// Declared contract on `in` (group name, annotation span).
     contract: (String, Option<SrcSpan>),
 }
@@ -668,7 +699,7 @@ impl Component for Fu {
     fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
         // Address generation: memory ops probe the cache one cycle after
         // acceptance.
-        if let Some(instr) = &self.agen {
+        if let Some(InstrRecord { instr, .. }) = &self.agen {
             let op = instr.op_class();
             if matches!(op, OpClass::Load | OpClass::Store) && ctx.width(self.mem_req) > 0 {
                 ctx.set_output(self.mem_req, 0, Datum::Int(instr.tgt));
@@ -676,7 +707,7 @@ impl Component for Fu {
         }
         if let Some(front) = self.done_buf.front() {
             for lane in 0..ctx.width(self.done) {
-                ctx.set_output(self.done, lane, front.to_datum());
+                ctx.set_output(self.done, lane, front.datum.clone());
             }
         }
         if ctx.width(self.credit) > 0 {
@@ -700,7 +731,8 @@ impl Component for Fu {
         // Move the agen-stage instruction into execution, with its latency
         // possibly provided by the attached memory hierarchy; then advance,
         // so a 1-cycle operation completes in the same step it enters.
-        if let Some(instr) = self.agen.take() {
+        if let Some(record) = self.agen.take() {
+            let instr = record.instr;
             let op = instr.op_class();
             let lat =
                 if matches!(op, OpClass::Load | OpClass::Store) && ctx.width(self.mem_resp) > 0 {
@@ -711,7 +743,7 @@ impl Component for Fu {
                 } else {
                     instr.lat.max(1)
                 };
-            self.in_flight.push((instr, lat));
+            self.in_flight.push((record, lat));
         }
         // Finished instructions move to `done_buf` from the back of
         // `in_flight` forward.
@@ -724,7 +756,7 @@ impl Component for Fu {
             }
         }
         // Accept a new instruction.
-        if let Some(instr) = instr_at(ctx, self.inp, 0)? {
+        if let Some(record) = record_at(ctx, self.inp, 0)? {
             if self.agen.is_some() {
                 return Err(SimError::protocol_violation(
                     &self.contract.0,
@@ -732,7 +764,7 @@ impl Component for Fu {
                     self.contract.1,
                 ));
             }
-            self.agen = Some(instr);
+            self.agen = Some(record);
         }
         Ok(())
     }

@@ -11,10 +11,16 @@
 //! fields of [`INSTR_TYPE_LSS`]. The decoded form is [`Instr`], defined in
 //! `lss_netlist::kernel` next to the engine's kernels that share it and
 //! re-exported here; [`InstrExt`] adds the corelib's op-class view. The
-//! record is shared and copy-on-write: [`Instr::to_datum`] builds it with
-//! one allocation over field names interned once per process, and every
-//! later port hop, buffered re-send or collector argument clones a
-//! reference rather than the fields.
+//! record is shared and copy-on-write, and it is encoded once per
+//! instruction: fetch builds it with [`Instr::to_datum`] (one allocation
+//! over field names interned once per process) when the instruction enters
+//! its prefetch buffer. Every later component decodes what it receives
+//! once, in a single pass by field name ([`Instr::from_datum`]), keeps the
+//! decoded fields next to the record (`lss_netlist::InstrRecord`) and
+//! forwards that record, so a port hop, buffered re-send or collector
+//! argument clones a reference rather than the fields. A forwarded record
+//! keeps the layout it arrived with; only decode's `lat` rewrite copies
+//! one, and the copy keeps that layout too.
 
 pub use lss_netlist::Instr;
 use lss_netlist::INSTR_FIELDS;

@@ -17,8 +17,10 @@
 //!
 //! The module also owns the one instruction-record type ([`Instr`], with
 //! its `to_datum`/`from_datum` codec) that the corelib's CPU behaviors and
-//! the engine's issue/FU kernels share, so both sides put the same record
-//! on a port.
+//! the engine's issue/FU kernels share, and [`InstrRecord`], the decoded
+//! fields kept next to the record they arrived in. Fetch encodes each
+//! instruction once; every later hop forwards the record it received, so
+//! both sides put the same record on a port.
 
 use std::sync::{Arc, OnceLock};
 
@@ -64,8 +66,12 @@ pub struct Instr {
 }
 
 impl Instr {
-    /// Encodes the instruction as a shared record datum: one allocation,
-    /// and cloning the result allocates nothing.
+    /// Encodes the instruction as a shared record datum in the canonical
+    /// [`INSTR_FIELDS`] layout: one allocation, and cloning the result
+    /// allocates nothing.
+    ///
+    /// Encoding happens once per fetched instruction: every later hop keeps
+    /// the record it received in an [`InstrRecord`] and forwards a clone.
     pub fn to_datum(&self) -> Datum {
         let values = [
             self.pc, self.op, self.dst, self.src1, self.src2, self.lat, self.tgt, self.taken,
@@ -76,12 +82,28 @@ impl Instr {
         Datum::Struct(Arc::from(fields))
     }
 
-    /// Decodes an instruction record by field name, or `None` if a field
-    /// is missing or not an `int`.
+    /// Decodes an instruction record by field name in a single pass over
+    /// its fields. Field order does not matter and other fields are
+    /// ignored; when a name appears twice the first occurrence wins, as
+    /// with [`Datum::field`]. `None` if a field is missing, if its first
+    /// occurrence is not an `int`, or if `datum` is not a record.
     pub fn from_datum(datum: &Datum) -> Option<Instr> {
+        let Datum::Struct(fields) = datum else {
+            return None;
+        };
         let mut v = [0; 8];
-        for (slot, name) in v.iter_mut().zip(INSTR_FIELDS) {
-            *slot = datum.field(name)?.as_int()?;
+        let mut seen = 0u8;
+        for (name, value) in fields.iter() {
+            let Some(i) = field_index(name) else {
+                continue;
+            };
+            if seen & 1 << i == 0 {
+                seen |= 1 << i;
+                v[i] = value.as_int()?;
+            }
+        }
+        if seen != u8::MAX {
+            return None;
         }
         let [pc, op, dst, src1, src2, lat, tgt, taken] = v;
         Some(Instr {
@@ -93,6 +115,44 @@ impl Instr {
             lat,
             tgt,
             taken,
+        })
+    }
+}
+
+/// The position of `name` in [`INSTR_FIELDS`].
+fn field_index(name: &str) -> Option<usize> {
+    Some(match name {
+        "pc" => 0,
+        "op" => 1,
+        "dst" => 2,
+        "src1" => 3,
+        "src2" => 4,
+        "lat" => 5,
+        "tgt" => 6,
+        "taken" => 7,
+        _ => return None,
+    })
+}
+
+/// An instruction a component holds: its decoded fields next to the record
+/// it arrived in. Forwarding the instruction sends a clone of `datum`, a
+/// reference-count bump, so the record keeps the layout it arrived with
+/// and is never re-encoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstrRecord {
+    /// The decoded fields.
+    pub instr: Instr,
+    /// The record as received.
+    pub datum: Datum,
+}
+
+impl InstrRecord {
+    /// Decodes `datum` with [`Instr::from_datum`] and keeps a reference to
+    /// it, or `None` if it is not an instruction record.
+    pub fn decode(datum: &Datum) -> Option<InstrRecord> {
+        Some(InstrRecord {
+            instr: Instr::from_datum(datum)?,
+            datum: datum.clone(),
         })
     }
 }
@@ -205,10 +265,11 @@ pub enum KernelClass {
     /// `corelib/fu.tar`: the pipelined functional unit with an
     /// address-generation stage, optional cache-port and CDB-grant
     /// interfaces. Instructions travel as shared `Datum::Struct` records
-    /// built by [`Instr::to_datum`]: a port hop or a buffered re-send
-    /// clones a reference, never the fields. The kernel decodes each
-    /// arrival once with [`Instr::from_datum`] and reads the
-    /// `op`/`lat`/`tgt` fields directly.
+    /// that fetch built once with [`Instr::to_datum`]: a port hop or a
+    /// buffered re-send clones a reference, never the fields. The kernel
+    /// decodes each arrival once into an [`InstrRecord`], reads the
+    /// `op`/`lat`/`tgt` fields directly and drives `done` with the record
+    /// it received.
     Fu {
         /// `in` port index.
         inp: usize,
@@ -278,22 +339,108 @@ mod tests {
             .all(|(x, y)| Arc::ptr_eq(&x.0, &y.0)));
     }
 
+    /// The decoder before it became one pass: one [`Datum::field`] lookup
+    /// per name.
+    fn by_field_lookup(datum: &Datum) -> Option<Instr> {
+        let mut v = [0; 8];
+        for (slot, name) in v.iter_mut().zip(INSTR_FIELDS) {
+            *slot = datum.field(name)?.as_int()?;
+        }
+        let [pc, op, dst, src1, src2, lat, tgt, taken] = v;
+        Some(Instr {
+            pc,
+            op,
+            dst,
+            src1,
+            src2,
+            lat,
+            tgt,
+            taken,
+        })
+    }
+
     #[test]
-    fn decode_reads_other_layouts_by_name() {
-        let mut fields: Vec<(&str, Datum)> = INSTR_FIELDS
+    fn one_pass_decode_matches_per_field_lookup() {
+        type Fields = Vec<(&'static str, Datum)>;
+        let canonical: Fields = INSTR_FIELDS
             .iter()
             .zip(1..)
             .map(|(n, v)| (*n, Datum::Int(v)))
             .collect();
-        fields.reverse();
-        fields.push(("extra", Datum::Bool(true)));
-        let decoded = Instr::from_datum(&Datum::record(fields.clone())).unwrap();
-        assert_eq!((decoded.pc, decoded.lat, decoded.taken), (1, 6, 8));
-        fields.retain(|(n, _)| *n != "lat");
-        assert_eq!(Instr::from_datum(&Datum::record(fields)), None);
-        assert_eq!(Instr::from_datum(&Datum::Int(3)), None);
-        let mut bad = decoded.to_datum();
-        *bad.field_mut("tgt").unwrap() = Datum::Bool(false);
-        assert_eq!(Instr::from_datum(&bad), None);
+        let with = |edit: &dyn Fn(&mut Fields)| {
+            let mut fields = canonical.clone();
+            edit(&mut fields);
+            Datum::record(fields)
+        };
+        let cases: Vec<(&str, Datum, bool)> = vec![
+            ("canonical", with(&|_| {}), true),
+            ("reordered", with(&|f| f.reverse()), true),
+            ("rotated", with(&|f| f.rotate_left(3)), true),
+            (
+                "extra fields",
+                with(&|f| {
+                    f.insert(2, ("note", Datum::Str("x".into())));
+                    f.push(("latency", Datum::Bool(true)));
+                }),
+                true,
+            ),
+            (
+                "duplicate int, first wins",
+                with(&|f| f.push(("lat", Datum::Int(99)))),
+                true,
+            ),
+            (
+                "duplicate int before the canonical one",
+                with(&|f| f.insert(0, ("dst", Datum::Int(-7)))),
+                true,
+            ),
+            (
+                "duplicate with a non-int first occurrence",
+                with(&|f| f.insert(0, ("tgt", Datum::Bool(false)))),
+                false,
+            ),
+            (
+                "duplicate with a non-int later occurrence",
+                with(&|f| f.push(("tgt", Datum::Bool(false)))),
+                true,
+            ),
+            (
+                "missing field",
+                with(&|f| f.retain(|(n, _)| *n != "taken")),
+                false,
+            ),
+            (
+                "empty record",
+                Datum::record(Vec::<(&str, Datum)>::new()),
+                false,
+            ),
+            (
+                "non-int field",
+                with(&|f| f[0].1 = Datum::Float(1.0)),
+                false,
+            ),
+            ("not a record", Datum::Int(3), false),
+            ("array", Datum::Array(vec![Datum::Int(1); 8]), false),
+        ];
+        for (name, datum, decodes) in cases {
+            let expected = by_field_lookup(&datum);
+            assert_eq!(expected.is_some(), decodes, "{name}: reference");
+            assert_eq!(Instr::from_datum(&datum), expected, "{name}: {datum}");
+        }
+        for (i, name) in INSTR_FIELDS.iter().enumerate() {
+            assert_eq!(field_index(name), Some(i));
+        }
+    }
+
+    #[test]
+    fn a_record_keeps_the_datum_it_was_decoded_from() {
+        let d = Datum::record(INSTR_FIELDS.iter().rev().map(|n| (*n, Datum::Int(2))));
+        let held = InstrRecord::decode(&d).unwrap();
+        assert_eq!(held.instr.lat, 2);
+        let (Datum::Struct(a), Datum::Struct(b)) = (&d, &held.datum) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert_eq!(InstrRecord::decode(&Datum::Int(0)), None);
     }
 }

@@ -45,7 +45,7 @@ pub use binary::{from_binary, to_binary, BIN_FORMAT};
 pub use intern::{CollectorId, EventId, Interner, PortId, RtvId, SlotId, Symbol, UserpointId};
 pub use json::{to_json, JSON_FORMAT};
 pub use jsonval::{parse_json, JsonValue};
-pub use kernel::{Instr, KernelAluOp, KernelClass, INSTR_FIELDS};
+pub use kernel::{Instr, InstrRecord, KernelAluOp, KernelClass, INSTR_FIELDS};
 pub use link::{link, DeferredConnection, DeferredEndpoint, LinkError, LinkUnit};
 pub use lint::{
     check_dangling_hierarchical, check_isolated, check_unbound_collectors, check_unconnected,

@@ -42,6 +42,13 @@
 //! each holder keeps value semantics. Collector arguments are copied into
 //! one scratch vector the simulator keeps, not a fresh vector per
 //! collector.
+//!
+//! Forwarding contract for instruction records: fetch encodes each
+//! instruction once, and every later hop (decode, dispatch, the issue
+//! window, the functional unit, on the kernel and the dyn side alike)
+//! sends the record it received, never a re-encoded one. A record
+//! therefore keeps the layout it arrived with; readers decode by field
+//! name, so field order and extra fields do not matter to them.
 
 use std::cell::Cell;
 use std::collections::HashMap;

@@ -11,14 +11,17 @@
 //! (`exec.rs`) commits buffers at stage barriers.
 //!
 //! Every kernel mirrors its dyn counterpart's observable behavior exactly
-//! — same values, same `state_lines()`, same error messages. The
+//! — same values, same `state_lines()`, same error messages. The issue
+//! and FU kernels, like their corelib counterparts, hold each instruction
+//! as an [`InstrRecord`] and forward the record that arrived on `in`; no
+//! kernel encodes an instruction. The
 //! three-way equivalence suite (workspace `tests/kernel_equivalence.rs`)
 //! and the differential fuzzer keep the two implementations pinned
 //! together.
 
 use std::collections::{HashMap, VecDeque};
 
-use lss_netlist::{Instr, KernelAluOp, KernelClass, RtvId, SrcSpan};
+use lss_netlist::{Instr, InstrRecord, KernelAluOp, KernelClass, RtvId, SrcSpan};
 use lss_types::Datum;
 
 use crate::component::SimError;
@@ -121,8 +124,9 @@ pub enum Kernel {
         /// Per out lane: the op-class codes its class constraint admits,
         /// one bit per code.
         lane_ops: Vec<u8>,
-        /// The issue window.
-        window: VecDeque<Instr>,
+        /// The issue window: each entry is decoded once on arrival and
+        /// issued as the record it arrived in.
+        window: VecDeque<InstrRecord>,
         /// In-flight destination registers (register → writers outstanding).
         pending: HashMap<i64, u32>,
         /// Selection computed in `eval`, reused by `end_of_timestep` (the
@@ -151,12 +155,14 @@ pub enum Kernel {
         pipelined: bool,
         /// In-flight capacity.
         max_inflight: usize,
-        /// Instruction in the address-generation stage.
-        agen: Option<Instr>,
+        /// Instruction in the address-generation stage, decoded once on
+        /// arrival; it keeps the record it arrived in through `in_flight`
+        /// and `done_buf`, and every `done` lane carries that record.
+        agen: Option<InstrRecord>,
         /// Executing instructions with remaining cycle counts.
-        in_flight: Vec<(Instr, i64)>,
+        in_flight: Vec<(InstrRecord, i64)>,
         /// Finished instructions awaiting the (optional) CDB grant.
-        done_buf: VecDeque<Instr>,
+        done_buf: VecDeque<InstrRecord>,
         /// Protocol group for overflow diagnostics.
         group: String,
         /// Annotation span for overflow diagnostics.
@@ -248,7 +254,7 @@ pub struct IssueScratch {
 fn issue_select(
     scratch: &mut IssueScratch,
     values: &[Option<Datum>],
-    window: &VecDeque<Instr>,
+    window: &VecDeque<InstrRecord>,
     pending: &HashMap<i64, u32>,
     fu_credit: &[Option<usize>],
     lane_ops: &[u8],
@@ -267,7 +273,7 @@ fn issue_select(
         matches!(credit, Some(Datum::Int(v)) if *v > 0)
     }));
     let mut admitted = open_ops(lane_ops, open);
-    for (i, instr) in window.iter().enumerate() {
+    for (i, InstrRecord { instr, .. }) in window.iter().enumerate() {
         if picks.len() >= issue_width || admitted == 0 {
             break;
         }
@@ -296,9 +302,9 @@ fn issue_select(
 }
 
 fn fu_can_accept(
-    agen: &Option<Instr>,
-    in_flight: &[(Instr, i64)],
-    done_buf: &VecDeque<Instr>,
+    agen: &Option<InstrRecord>,
+    in_flight: &[(InstrRecord, i64)],
+    done_buf: &VecDeque<InstrRecord>,
     pipelined: bool,
     max_inflight: usize,
 ) -> bool {
@@ -320,6 +326,11 @@ pub struct KernelUnit {
     pub comp: usize,
     /// The devirtualized behavior.
     pub kernel: Kernel,
+}
+
+/// The dyn path's error for a datum that is not an instruction record.
+fn malformed(d: &Datum) -> SimError {
+    SimError::new(format!("malformed instruction datum: {d}"))
 }
 
 fn read(values: &[Option<Datum>], slot: Option<usize>) -> Option<Datum> {
@@ -481,7 +492,7 @@ impl Kernel {
                     *in_order,
                 );
                 for &(i, lane) in select.picks.iter() {
-                    out.push((out_row[lane as usize], window[i].to_datum()));
+                    out.push((out_row[lane as usize], window[i].datum.clone()));
                 }
                 if let Some(&s) = credit.first() {
                     let free = (*window_size - window.len()) as i64;
@@ -501,7 +512,7 @@ impl Kernel {
             } => {
                 // Address generation: memory ops probe the cache one cycle
                 // after acceptance.
-                if let Some(instr) = agen {
+                if let Some(InstrRecord { instr, .. }) = agen {
                     if is_mem(instr) {
                         if let Some(&s) = mem_req.first() {
                             out.push((s, Datum::Int(instr.tgt)));
@@ -510,7 +521,7 @@ impl Kernel {
                 }
                 if let Some(front) = done_buf.front() {
                     for &s in done.iter() {
-                        out.push((s, front.to_datum()));
+                        out.push((s, front.datum.clone()));
                     }
                 }
                 if let Some(&s) = credit.first() {
@@ -597,7 +608,7 @@ impl Kernel {
                 // window back-to-front (picks are in window order) so
                 // indices stay valid.
                 for &(i, _) in &select.picks {
-                    let instr = window[i];
+                    let instr = window[i].instr;
                     if instr.dst >= 0 {
                         *pending.entry(instr.dst).or_insert(0) += 1;
                     }
@@ -611,9 +622,7 @@ impl Kernel {
                     let Some(d) = s.and_then(|s| values[s].as_ref()) else {
                         continue;
                     };
-                    let instr = Instr::from_datum(d).ok_or_else(|| {
-                        SimError::new(format!("malformed instruction datum: {d}"))
-                    })?;
+                    let instr = Instr::from_datum(d).ok_or_else(|| malformed(d))?;
                     if instr.dst >= 0 {
                         if let Some(count) = pending.get_mut(&instr.dst) {
                             *count -= 1;
@@ -628,9 +637,7 @@ impl Kernel {
                     let Some(d) = s.and_then(|s| values[s].as_ref()) else {
                         continue;
                     };
-                    let instr = Instr::from_datum(d).ok_or_else(|| {
-                        SimError::new(format!("malformed instruction datum: {d}"))
-                    })?;
+                    let record = InstrRecord::decode(d).ok_or_else(|| malformed(d))?;
                     if window.len() >= *window_size {
                         return Err(SimError::protocol_violation(
                             &*group,
@@ -638,7 +645,7 @@ impl Kernel {
                             *span,
                         ));
                     }
-                    window.push_back(instr);
+                    window.push_back(record);
                 }
             }
             Kernel::Fu {
@@ -671,8 +678,9 @@ impl Kernel {
                 // latency possibly provided by the attached memory
                 // hierarchy; then advance, so a 1-cycle operation completes
                 // in the same step it enters.
-                if let Some(instr) = agen.take() {
-                    let lat = if is_mem(&instr) && !mem_resp.is_empty() {
+                if let Some(record) = agen.take() {
+                    let instr = &record.instr;
+                    let lat = if is_mem(instr) && !mem_resp.is_empty() {
                         match read_lane(values, mem_resp, 0) {
                             Some(Datum::Int(l)) => l.max(1),
                             _ => instr.lat.max(1),
@@ -680,7 +688,7 @@ impl Kernel {
                     } else {
                         instr.lat.max(1)
                     };
-                    in_flight.push((instr, lat));
+                    in_flight.push((record, lat));
                 }
                 // Finished instructions move to `done_buf` from the back
                 // of `in_flight` forward.
@@ -693,10 +701,9 @@ impl Kernel {
                     }
                 }
                 // Accept a new instruction.
-                if let Some(d) = read_lane(values, inp, 0) {
-                    let instr = Instr::from_datum(&d).ok_or_else(|| {
-                        SimError::new(format!("malformed instruction datum: {d}"))
-                    })?;
+                let arrived = inp.first().copied().flatten();
+                if let Some(d) = arrived.and_then(|s| values[s].as_ref()) {
+                    let record = InstrRecord::decode(d).ok_or_else(|| malformed(d))?;
                     if agen.is_some() {
                         return Err(SimError::protocol_violation(
                             &*group,
@@ -704,7 +711,7 @@ impl Kernel {
                             *span,
                         ));
                     }
-                    *agen = Some(instr);
+                    *agen = Some(record);
                 }
             }
             Kernel::Source { .. } | Kernel::Tee { .. } | Kernel::Alu { .. } => {}
@@ -837,4 +844,112 @@ pub fn lower(
         },
     };
     Some(KernelUnit { comp, kernel })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use lss_netlist::INSTR_FIELDS;
+
+    use super::*;
+
+    /// An instruction record in a non-canonical layout (reversed, plus an
+    /// extra field), so a re-encoded record could not pass for it.
+    fn record(op: i64, dst: i64) -> Datum {
+        let mut fields: Vec<(&str, Datum)> = INSTR_FIELDS
+            .iter()
+            .map(|&n| {
+                let v = match n {
+                    "op" => op,
+                    "dst" => dst,
+                    "lat" => 1,
+                    "src1" | "src2" => -1,
+                    _ => 0,
+                };
+                (n, Datum::Int(v))
+            })
+            .collect();
+        fields.reverse();
+        fields.push(("tag", Datum::Int(7)));
+        Datum::record(fields)
+    }
+
+    fn same_record(a: &Datum, b: &Datum) -> bool {
+        matches!((a, b), (Datum::Struct(x), Datum::Struct(y)) if Arc::ptr_eq(x, y))
+    }
+
+    fn lowered(class: KernelClass, out: &[Vec<usize>], inp: &[Vec<Option<usize>>]) -> Kernel {
+        lower(0, &class, out, inp, &mut SlotTable::new())
+            .expect("class lowers")
+            .kernel
+    }
+
+    #[test]
+    fn issue_sends_the_record_that_arrived() {
+        // Slots: 0 in, 1 fu_credit, 2 complete, 3 credit, 4 out.
+        let mut kernel = lowered(
+            KernelClass::Issue {
+                inp: 0,
+                credit: 1,
+                out: 2,
+                fu_credit: 3,
+                complete: 4,
+                window_size: 4,
+                issue_width: 1,
+                in_order: false,
+                classes: vec![0],
+                group: "g".into(),
+                span: None,
+            },
+            &[vec![], vec![3], vec![4], vec![], vec![]],
+            &[vec![Some(0)], vec![], vec![], vec![Some(1)], vec![Some(2)]],
+        );
+        let arrived = record(1, 3);
+        let mut values = vec![Some(arrived.clone()), None, None, None, None];
+        kernel
+            .end_of_timestep(&values, &mut SlotTable::new())
+            .unwrap();
+        values[0] = None;
+        values[1] = Some(Datum::Int(1));
+        let mut writes = Vec::new();
+        kernel.eval(&values, 1, 0, &mut writes).unwrap();
+        let sent = writes.iter().find(|(s, _)| *s == 4).expect("issued");
+        assert!(same_record(&sent.1, &arrived), "{}", sent.1);
+    }
+
+    #[test]
+    fn every_fu_done_lane_carries_the_record_that_arrived() {
+        // Slots: 0 in, 1 credit, 2 and 3 done.
+        let mut kernel = lowered(
+            KernelClass::Fu {
+                inp: 0,
+                credit: 1,
+                done: 2,
+                grant_in: 3,
+                mem_req: 4,
+                mem_resp: 5,
+                pipelined: true,
+                max_inflight: 2,
+                group: "g".into(),
+                span: None,
+            },
+            &[vec![], vec![1], vec![2, 3], vec![], vec![], vec![]],
+            &[vec![Some(0)], vec![], vec![], vec![], vec![], vec![]],
+        );
+        let arrived = record(1, 3);
+        let mut values = vec![Some(arrived.clone()), None, None, None];
+        let mut rtvs = SlotTable::new();
+        // Accept into address generation, then execute its one cycle.
+        kernel.end_of_timestep(&values, &mut rtvs).unwrap();
+        values[0] = None;
+        kernel.end_of_timestep(&values, &mut rtvs).unwrap();
+        let mut writes = Vec::new();
+        kernel.eval(&values, 2, 0, &mut writes).unwrap();
+        let done: Vec<&(usize, Datum)> = writes.iter().filter(|(s, _)| *s >= 2).collect();
+        assert_eq!(done.len(), 2);
+        for (slot, d) in done {
+            assert!(same_record(d, &arrived), "done slot {slot}: {d}");
+        }
+    }
 }

@@ -2,37 +2,57 @@
 //! must be observationally indistinguishable from the kernel-free dynamic
 //! scheduler and from the naive fixpoint reference simulator.
 //!
-//! Three-way lockstep over all six Table 3 models and every single-file
-//! fuzz-corpus entry, comparing the canonical `state_lines()` dump after
-//! every cycle.
+//! Three-way lockstep over all six Table 3 models, every single-file
+//! fuzz-corpus entry and a pipeline fed instruction records in a
+//! non-canonical layout, comparing the canonical `state_lines()` dump
+//! after every cycle.
 
+use std::collections::VecDeque;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use lss_corelib::{Instr, InstrExt, Mix, Workload, INSTR_TYPE_LSS};
 use lss_interp::CompileOptions;
 use lss_models::{compile_model, compile_source, models};
-use lss_netlist::Netlist;
-use lss_sim::{build, Scheduler, SimOptions, Simulator};
+use lss_netlist::{Netlist, INSTR_FIELDS};
+use lss_sim::{
+    build, CompCtx, Component, ComponentRegistry, Scheduler, SimError, SimOptions, Simulator,
+};
+use lss_types::Datum;
 use lss_verify::{Mutation, RefSim};
 
 const CYCLES: u64 = 50;
 
 fn build_engine(netlist: &Netlist, scheduler: Scheduler) -> Simulator {
+    build_with(netlist, &lss_corelib::registry(), scheduler)
+}
+
+fn build_with(netlist: &Netlist, registry: &ComponentRegistry, scheduler: Scheduler) -> Simulator {
     let opts = SimOptions {
         scheduler,
         ..Default::default()
     };
-    build(netlist, &lss_corelib::registry(), opts).expect("engine build")
+    build(netlist, registry, opts).expect("engine build")
 }
 
 /// Steps all three simulators in lockstep, comparing `state_lines()` after
 /// every cycle. Returns an error message naming the first divergence.
 fn three_way(netlist: &Netlist, name: &str, cycles: u64) -> Result<(), String> {
-    let registry = lss_corelib::registry();
-    let mut stat = build_engine(netlist, Scheduler::Static);
-    let mut dynamic = build_engine(netlist, Scheduler::Dynamic);
+    three_way_with(netlist, &lss_corelib::registry(), name, cycles)
+}
+
+/// [`three_way`] with the behaviors of `registry`.
+fn three_way_with(
+    netlist: &Netlist,
+    registry: &ComponentRegistry,
+    name: &str,
+    cycles: u64,
+) -> Result<(), String> {
+    let mut stat = build_with(netlist, registry, Scheduler::Static);
+    let mut dynamic = build_with(netlist, registry, Scheduler::Dynamic);
     let mut reference =
-        RefSim::build(netlist, &registry, Mutation::None).map_err(|e| format!("{name}: {e}"))?;
+        RefSim::build(netlist, registry, Mutation::None).map_err(|e| format!("{name}: {e}"))?;
     reference.init().map_err(|e| format!("{name}: {e}"))?;
     for cycle in 0..cycles {
         // All three must agree on success/failure as well as on state.
@@ -227,4 +247,209 @@ fn fixpoint_blocks_are_exactly_the_lss101_cycles() {
         }
     }
     assert_eq!(cyclic, ["tee ring"]);
+}
+
+/// A fetch stand-in that sends the synthetic stream as records in a
+/// non-canonical layout: fields reversed plus a trailing `seq` field. Every
+/// third record carries a wrong `lat`, which decode must rewrite. It sends
+/// as many records per cycle as `credit_in` allows, like fetch.
+struct OddFetch {
+    out: usize,
+    credit_in: usize,
+    workload: Workload,
+    left: u64,
+    buffer: VecDeque<Datum>,
+}
+
+impl OddFetch {
+    fn record(instr: &Instr, seq: u64) -> Datum {
+        let values = [
+            instr.pc,
+            instr.op,
+            instr.dst,
+            instr.src1,
+            instr.src2,
+            if seq.is_multiple_of(3) { 9 } else { instr.lat },
+            instr.tgt,
+            instr.taken,
+        ];
+        let mut fields: Vec<(&str, Datum)> = INSTR_FIELDS
+            .iter()
+            .zip(values)
+            .map(|(n, v)| (*n, Datum::Int(v)))
+            .rev()
+            .collect();
+        fields.push(("seq", Datum::Int(seq as i64)));
+        Datum::record(fields)
+    }
+
+    fn sent(&self, ctx: &dyn CompCtx) -> usize {
+        let credit = match ctx.input(self.credit_in, 0) {
+            Some(Datum::Int(v)) => v.max(0) as usize,
+            _ => 0,
+        };
+        self.buffer
+            .len()
+            .min(credit)
+            .min(ctx.width(self.out) as usize)
+    }
+
+    fn refill(&mut self) {
+        while self.buffer.len() < 4 && self.left > 0 {
+            let instr = self.workload.next_instr();
+            let seq = self.workload.emitted();
+            self.buffer.push_back(Self::record(&instr, seq));
+            self.left -= 1;
+        }
+    }
+}
+
+impl Component for OddFetch {
+    fn init(&mut self, _ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        self.refill();
+        Ok(())
+    }
+
+    fn eval(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        for lane in 0..self.sent(ctx) {
+            ctx.set_output(self.out, lane as u32, self.buffer[lane].clone());
+        }
+        Ok(())
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut dyn CompCtx) -> Result<(), SimError> {
+        let sent = self.sent(ctx);
+        self.buffer.drain(..sent);
+        self.refill();
+        Ok(())
+    }
+}
+
+fn odd_layout_registry() -> ComponentRegistry {
+    let mut registry = lss_corelib::registry();
+    registry.register("test/odd_fetch.tar", |spec| {
+        Ok(Box::new(OddFetch {
+            out: spec.port_index("out")?,
+            credit_in: spec.port_index("credit_in")?,
+            workload: Workload::new(5, Mix::default(), 16),
+            left: spec.int_param_or("n_instrs", 40)? as u64,
+            buffer: VecDeque::new(),
+        }) as Box<dyn Component>)
+    });
+    registry
+}
+
+/// Odd-layout records through decode → queue → issue → FU → commit.
+fn odd_layout_pipeline() -> Netlist {
+    let src = format!(
+        r#"
+        module odd_fetch {{
+            parameter n_instrs = 40:int;
+            outport out:{INSTR_TYPE_LSS};
+            inport credit_in:int;
+            tar_file = "test/odd_fetch.tar";
+        }};
+        instance src:odd_fetch;
+        instance dec:decode;
+        instance iq:queue;
+        iq.depth = 4;
+        instance win:issue;
+        win.window = 8;
+        win.width = 2;
+        win.classes = "8,3,7";
+        instance fu_int:fu;
+        instance fu_fp:fu;
+        instance fu_mem:fu;
+        fu_int.pipelined = 1;
+        instance c:commit;
+
+        LSS_connect_bus(src.out, dec.in, 2);
+        dec.credit -> src.credit_in;
+        LSS_connect_bus(dec.out, iq.in, 2);
+        iq.credit -> dec.credit_in;
+        LSS_connect_bus(iq.out, win.in, 2);
+        win.credit -> iq.credit_in;
+        win.out[0] -> fu_int.in;
+        win.out[1] -> fu_fp.in;
+        win.out[2] -> fu_mem.in;
+        fu_int.credit -> win.fu_credit[0];
+        fu_fp.credit -> win.fu_credit[1];
+        fu_mem.credit -> win.fu_credit[2];
+        fu_int.done -> c.in[0];
+        fu_fp.done -> c.in[1];
+        fu_mem.done -> c.in[2];
+        fu_int.done -> win.complete[0];
+        fu_fp.done -> win.complete[1];
+        fu_mem.done -> win.complete[2];
+        "#
+    );
+    compile_source(&src, &CompileOptions::default())
+        .expect("odd-layout pipeline compiles")
+        .netlist
+}
+
+#[test]
+fn non_canonical_records_agree_three_ways_and_keep_their_layout() {
+    let netlist = odd_layout_pipeline();
+    let registry = odd_layout_registry();
+    three_way_with(&netlist, &registry, "odd-layout pipeline", 120).unwrap();
+    // Every instruction commits, and commit sees the layout fetch sent.
+    let mut sim = build_with(&netlist, &registry, Scheduler::Static);
+    let mut seen_seq = false;
+    for _ in 0..120 {
+        sim.step().unwrap();
+        for lane in 0..2 {
+            if let Some(d) = sim.peek("fu_int", "done", lane) {
+                seen_seq |= d.field("seq").is_some();
+            }
+        }
+    }
+    assert_eq!(sim.rtv("c", "committed"), Some(Datum::Int(40)));
+    assert!(seen_seq, "the FU sent a re-encoded record");
+}
+
+#[test]
+fn decode_forwards_the_record_unless_it_rewrites_lat() {
+    let netlist = odd_layout_pipeline();
+    let registry = odd_layout_registry();
+    for scheduler in [Scheduler::Static, Scheduler::Dynamic] {
+        let mut sim = build_with(&netlist, &registry, scheduler);
+        let (mut forwarded, mut rewritten) = (0, 0);
+        for _ in 0..60 {
+            sim.step().unwrap();
+            for lane in 0..2 {
+                let (Some(sent), Some(decoded)) =
+                    (sim.peek("src", "out", lane), sim.peek("dec", "out", lane))
+                else {
+                    continue;
+                };
+                let (Datum::Struct(a), Datum::Struct(b)) = (&sent, &decoded) else {
+                    panic!("not records: {sent} / {decoded}");
+                };
+                let instr = Instr::from_datum(&sent).unwrap();
+                let lat = instr.op_class().latency();
+                if instr.lat == lat {
+                    assert!(Arc::ptr_eq(a, b), "{scheduler:?}: {decoded} was copied");
+                    forwarded += 1;
+                } else {
+                    // Copy on write: the upstream record keeps its `lat`,
+                    // the copy keeps the layout.
+                    assert!(!Arc::ptr_eq(a, b));
+                    assert_eq!(sent.field("lat"), Some(&Datum::Int(9)));
+                    assert_eq!(decoded.field("lat"), Some(&Datum::Int(lat)));
+                    let names = |r: &[(Arc<str>, Datum)]| -> Vec<String> {
+                        r.iter().map(|(n, _)| n.to_string()).collect()
+                    };
+                    assert_eq!(names(a), names(b));
+                    assert_eq!(
+                        Instr::from_datum(&decoded),
+                        Some(Instr { lat, ..instr }),
+                        "{scheduler:?}"
+                    );
+                    rewritten += 1;
+                }
+            }
+        }
+        assert!(forwarded > 0 && rewritten > 0, "{forwarded}/{rewritten}");
+    }
 }
